@@ -514,7 +514,7 @@ def _shard_run(args: argparse.Namespace, path, monitor) -> int:
         graph = store.to_graph()
         store.close()
         t0 = time.perf_counter()
-        z_u, z_i = model.embed_all(graph, batch_size=args.batch_size, mode="layerwise")
+        z_u, z_i = model.embed_all(graph, batch_size=args.batch_size)
     else:
         t0 = time.perf_counter()
         z_u, z_i = model.embed_all(
@@ -584,7 +584,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     embedder = StreamingEmbedder(
         model,
-        sample_seed=args.seed,
         batch_size=args.batch_size,
         degrade_threshold=args.degrade_threshold,
     )

@@ -29,9 +29,24 @@ cf. Cascade-BGNN's redundancy elimination):
   matrices, one pass per step, instead of re-expanding the whole
   receptive field per batch.  The sampled recursive path remains the
   training path (it builds the autograd graph).
+
+Inference has exactly one engine, :meth:`BipartiteGraphSAGE._layerwise`:
+chunk plan → sample → :func:`_layerwise_chunk` → write.  Chunk ``k`` of
+``(side, step)`` draws its neighbours from
+``derive_rng(sample_seed, key, side, step, k)``, a pure function of its
+coordinates, so the result depends only on (weights, graph,
+``sample_seed``, chunk size) — not on repeat calls, worker count, shard
+count, or whether the chunk was recomputed by a delta refresh
+(:class:`~repro.streaming.StreamingEmbedder`).  Dense graphs write into
+an ndarray in the parent; a :class:`~repro.shard.storage.ShardedCSR`
+store is written to memmaps by one pool task per shard.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import tempfile
 
 import numpy as np
 
@@ -40,11 +55,10 @@ from repro.graph.sampling import NeighborSampler
 from repro.nn.layers import Activation, Linear, Module
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
-from repro.obs.monitor import heartbeat
-from repro.nn.tensor import Tensor, concat, no_grad, where
+from repro.nn.tensor import Tensor, concat, where
 from repro.parallel import as_ndarray, get_pool, shared_arrays
 from repro.utils.config import SageConfig
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import clone_rng, derive_rng, ensure_rng
 
 __all__ = ["BipartiteGraphSAGE"]
 
@@ -150,6 +164,115 @@ def _layerwise_chunk(task: tuple, context: tuple) -> np.ndarray:
     return _NP_ACTIVATIONS[params["activation"]](z)  # Eq. 3 / Eq. 4
 
 
+# ---------------------------------------------------------------------------
+# Output sinks of the layer-wise engine
+# ---------------------------------------------------------------------------
+# Key separating the inference sampling stream from every other
+# derive_rng consumer (the trainer uses small integer keys).
+_STREAM_KEY = 0x51BE
+_SIDES = ("user", "item")
+_OTHER = {"user": "item", "item": "user"}
+
+
+class _ArraySink:
+    """Dense pass: one pool task per chunk, blocks written into an ndarray."""
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+
+    def exchange(self, side: str, step: int, fanout: int):
+        return contextlib.nullcontext()
+
+    def route(self, side: str, tasks: list) -> list:
+        return tasks
+
+    def write(self, pool, step, side, tasks, own_prev, other_prev, params, n, cached):
+        out = np.empty((n, self.dim), dtype=np.float64)
+        if cached is not None:
+            out[: len(cached)] = cached
+        with shared_arrays(pool, own_prev, other_prev) as (own_h, other_h):
+            rows = pool.map(
+                _layerwise_chunk,
+                tasks,
+                context=(own_h, other_h, params),
+                label="sage.layerwise_chunk",
+            )
+        for (start, stop, _), block in zip(tasks, rows):
+            out[start:stop] = block
+        return out
+
+    def close(self) -> None:
+        pass
+
+
+class _ShardSink:
+    """Sharded pass: one pool task per shard, writing memmap files.
+
+    A chunk belongs to the shard owning most of its rows, so each
+    worker streams one shard's blocks.  Every step matrix goes to a
+    fresh file under ``<store>/embed`` that :meth:`close` unlinks once
+    the pass is done: the memmaps a call returns stay valid and are
+    never overwritten by a later call on the same store.
+    """
+
+    def __init__(self, store, dim: int) -> None:
+        self.store = store
+        self.dim = dim
+        self.work = store.path / "embed"
+        self.work.mkdir(parents=True, exist_ok=True)
+        self.paths: list[str] = []
+
+    @contextlib.contextmanager
+    def exchange(self, side: str, step: int, fanout: int):
+        with span("shard.frontier_exchange", side=side, step=step, fanout=fanout):
+            yield
+
+    def route(self, side: str, tasks: list) -> list:
+        """Group chunks by home shard, counting cross-shard frontier rows."""
+        store = self.store
+        own_shard = store.shard_of(side)
+        other_shard = store.shard_of(_OTHER[side])
+        per_shard: list[list] = [[] for _ in range(store.num_shards)]
+        for start, stop, neigh in tasks:
+            valid = neigh >= 0
+            cross = valid & (
+                other_shard[np.where(valid, neigh, 0)] != own_shard[start:stop, None]
+            )
+            counter_add("shard.frontier_rows", int(valid.sum()))
+            counter_add("shard.frontier_cross_rows", int(cross.sum()))
+            home = np.bincount(own_shard[start:stop], minlength=store.num_shards)
+            per_shard[int(home.argmax())].append((start, stop, neigh))
+        return [(shard, chunks) for shard, chunks in enumerate(per_shard) if chunks]
+
+    def write(self, pool, step, side, tasks, own_prev, other_prev, params, n, cached):
+        from repro.shard.storage import allocate_block, open_block
+
+        fd, path = tempfile.mkstemp(
+            prefix=f"h{step}_{side}_", suffix=".bin", dir=self.work
+        )
+        os.close(fd)
+        self.paths.append(path)
+        shape = (n, self.dim)
+        allocate_block(path, np.float64, shape)
+        pool.map(
+            _sharded_shard_task,
+            tasks,
+            context=(
+                (own_prev.filename, own_prev.shape),
+                (other_prev.filename, other_prev.shape),
+                (path, shape),
+                params,
+            ),
+            label="sage.sharded_shard",
+        )
+        return open_block(path, np.float64, shape, mode="r")
+
+    def close(self) -> None:
+        for path in self.paths:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+
+
 class BipartiteGraphSAGE(Module):
     """The bipartite GraphSAGE module BG(G, X_u, X_i) of the paper.
 
@@ -206,10 +329,12 @@ class BipartiteGraphSAGE(Module):
             self.user_weight.append(w_u)
             self.item_weight.append(w_i)
         self._sample_rng = derive_rng(rng, 7)
+        # Root of the per-chunk inference sampling stream, read without
+        # advancing the training stream and fixed from here on.
+        self.sample_seed = int(clone_rng(self._sample_rng).integers(2**63 - 1))
         # One NeighborSampler per graph, built lazily on first use —
         # the recursion previously rebuilt a sampler at every step.
         self._sampler_cache: tuple[BipartiteGraph, NeighborSampler] | None = None
-        self._shard_sampler_cache: tuple | None = None
         # Frontier deduplication toggle; the benchmark harness flips it
         # off to time the naive recursion.
         self.dedup_frontier = True
@@ -227,165 +352,45 @@ class BipartiteGraphSAGE(Module):
 
     def embed_all(
         self,
-        graph: BipartiteGraph,
+        graph,
         batch_size: int = 2048,
         mode: str = "layerwise",
         workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode embeddings (Z_u, Z_i) for every vertex.
 
-        ``mode="layerwise"`` (default) computes each step for the whole
-        graph from the cached previous-step matrices — O(P·N·K·d) work
-        instead of the recursive path's O(N·K_1·...·K_P·d).  Called at
-        every HiGNN level (Algorithm 1), so it dominates hierarchy-build
-        time.  ``mode="recursive"`` keeps the per-batch recursive
-        expansion as a reference implementation.
+        Computes each step for the whole graph from the cached
+        previous-step matrices — O(P·N·K·d) work instead of the
+        recursive path's O(N·K_1·...·K_P·d).  Called at every HiGNN
+        level (Algorithm 1).
 
-        ``workers`` fans the layer-wise chunk loop out over a process
-        pool (default: the globally configured count, usually 1 → runs
-        in-process).  Chunk boundaries, sampling order and reduction
-        order are independent of the worker count, so the result is
-        bitwise identical for any ``workers`` given the same seed.
-
-        ``mode="streaming"`` runs the same layer-wise computation
-        through the cached :class:`~repro.streaming.StreamingEmbedder`,
-        whose content-addressed per-chunk sampling makes the result the
-        exact reference for :meth:`refresh` (delta refresh after a
-        mutation is bitwise-identical to this mode on the mutated
-        graph).
+        ``graph`` is a :class:`BipartiteGraph` or a
+        :class:`~repro.shard.storage.ShardedCSR` store; a store is
+        embedded out-of-core and comes back as read-only memmaps.
+        ``workers`` fans the chunks out over a process pool.  The result
+        is a pure function of (weights, graph, :attr:`sample_seed`,
+        ``batch_size``): bitwise identical across repeat calls, worker
+        counts, shard counts, and ``StreamingEmbedder(self).full_embed``.
+        ``mode`` accepts only ``"layerwise"``.
         """
-        if mode == "streaming":
-            return self.streaming_embedder().full_embed(graph, workers=workers)
-        if mode not in {"layerwise", "recursive"}:
-            raise ValueError(f"unknown embed_all mode {mode!r}")
-        if not isinstance(graph, BipartiteGraph):
-            # A ShardedCSR store (duck-checked lazily so repro.core does
-            # not import repro.shard unless sharding is actually used).
-            from repro.shard.storage import ShardedCSR
-
-            if isinstance(graph, ShardedCSR):
-                if mode != "layerwise":
-                    raise ValueError(
-                        "sharded stores only support layerwise embed_all"
-                    )
-                return self.embed_all_sharded(
-                    graph, batch_size=batch_size, workers=workers
-                )
-        self.eval()
+        if mode != "layerwise":
+            raise ValueError(f"unknown embed_all mode {mode!r}; only 'layerwise'")
         with span(
             "sage.embed_all",
-            mode=mode,
             num_users=graph.num_users,
             num_items=graph.num_items,
-        ), no_grad():
-            if mode == "layerwise":
-                users, items = self._embed_all_layerwise(
-                    graph, batch_size, get_pool(workers)
-                )
-            else:
-                users = np.concatenate(
-                    [
-                        self.embed_users(graph, np.arange(s, min(s + batch_size, graph.num_users))).data
-                        for s in range(0, graph.num_users, batch_size)
-                    ]
-                )
-                items = np.concatenate(
-                    [
-                        self.embed_items(graph, np.arange(s, min(s + batch_size, graph.num_items))).data
-                        for s in range(0, graph.num_items, batch_size)
-                    ]
-                )
-        self.train()
-        return users, items
-
-    def embed_all_sharded(
-        self,
-        store,
-        batch_size: int = 2048,
-        workers: int | None = None,
-        work_dir=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Layer-wise inference over a ``ShardedCSR`` store, out-of-core.
-
-        Step matrices live in memory-mapped files (double-buffered under
-        ``work_dir``, default ``<store>/embed``); each pass samples every
-        chunk in the parent in the dense path's global order (the
-        fixed-order cross-shard frontier exchange), then fans the chunks
-        out one :mod:`repro.parallel` task per shard.  Workers read the
-        previous-step mmaps and write disjoint row ranges, so the result
-        is bitwise identical to ``embed_all`` on the equivalent dense
-        graph at any worker count.  Returns read-only memmaps
-        ``(Z_u, Z_i)``.
-        """
-        self.eval()
-        with span(
-            "sage.embed_all",
-            mode="sharded",
-            num_users=store.num_users,
-            num_items=store.num_items,
-        ), no_grad():
-            users, items = self._embed_all_sharded(
-                store, batch_size, get_pool(workers), work_dir
-            )
-        self.train()
-        return users, items
-
-    # ------------------------------------------------------------------
-    # Streaming refresh (delegates to repro.streaming, imported lazily)
-    # ------------------------------------------------------------------
-    def streaming_embedder(
-        self,
-        sample_seed: int = 0,
-        batch_size: int = 2048,
-        degrade_threshold: float = 0.25,
-    ):
-        """The cached :class:`~repro.streaming.StreamingEmbedder` for
-        this model (rebuilt when the parameters change)."""
-        from repro.streaming.refresh import StreamingEmbedder
-
-        cached = getattr(self, "_streaming", None)
-        if (
-            cached is None
-            or cached.sample_seed != int(sample_seed)
-            or cached.batch_size != int(batch_size)
-            or cached.degrade_threshold != float(degrade_threshold)
         ):
-            cached = StreamingEmbedder(
-                self,
-                sample_seed=sample_seed,
-                batch_size=batch_size,
-                degrade_threshold=degrade_threshold,
-            )
-            self._streaming = cached
-        return cached
-
-    def refresh(
-        self,
-        graph,
-        dirty_users: np.ndarray | None = None,
-        dirty_items: np.ndarray | None = None,
-        workers: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Delta-aware update of the ``mode="streaming"`` embeddings.
-
-        After the graph gained edges/vertices, recomputes only the
-        chunks containing the P-hop out-neighbourhood of the dirty
-        vertices — bitwise-identical to ``embed_all(mutated_graph,
-        mode="streaming")`` at any worker count.  Accepts an
-        :class:`~repro.streaming.IncrementalBipartiteGraph` (dirty
-        frontier consumed and cleared) or a plain graph plus explicit
-        dirty id arrays.  Stats land on
-        ``self.streaming_embedder().last_stats``.
-        """
-        return self.streaming_embedder().refresh(
-            graph, dirty_users, dirty_items, workers=workers
-        )
+            h = self._layerwise(graph, batch_size, get_pool(workers), self.sample_seed)
+        return h[-1]["user"], h[-1]["item"]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _features(self, graph: BipartiteGraph, side: str) -> np.ndarray:
-        feats = graph.user_features if side == "user" else graph.item_features
+    def _features(self, graph, side: str) -> np.ndarray:
+        if isinstance(graph, BipartiteGraph):
+            feats = graph.user_features if side == "user" else graph.item_features
+        else:  # a ShardedCSR store: a read-only memmap
+            feats = None if graph.feature_dim(side) is None else graph.features(side)
         if feats is None:
             raise ValueError(f"graph is missing {side} features")
         expected = self.user_dim if side == "user" else self.item_dim
@@ -410,6 +415,18 @@ class BipartiteGraphSAGE(Module):
         if side == "user":
             return self.user_transform[step - 1], self.user_weight[step - 1]
         return self.item_transform[step - 1], self.item_weight[step - 1]
+
+    def _step_params(self, step: int, side: str) -> dict:
+        """The weights :func:`_layerwise_chunk` needs for one pass."""
+        transform, weight = self._step_modules(step, side)
+        return {
+            "m_w": transform.weight.data,
+            "m_b": transform.bias.data if transform.bias is not None else None,
+            "w_w": weight.weight.data,
+            "w_b": weight.bias.data if weight.bias is not None else None,
+            "activation": self.config.activation,
+            "aggregator": self.config.aggregator,
+        }
 
     def _embed(
         self,
@@ -506,240 +523,85 @@ class BipartiteGraphSAGE(Module):
         return out
 
     # ------------------------------------------------------------------
-    # Layer-wise full-graph inference
+    # Layer-wise inference engine
     # ------------------------------------------------------------------
-    def _embed_all_layerwise(
-        self, graph: BipartiteGraph, batch_size: int, pool=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One pass per step over the whole graph (inference only).
-
-        At step ``p`` every vertex aggregates ``K`` sampled neighbours
-        from the cached step-``p-1`` matrix of the opposite side, so the
-        receptive field is never re-expanded.  Equivalent to the
-        recursive path when sampling is a pure function of the vertex
-        (e.g. exhaustive fan-outs); distributionally equivalent under
-        sampling with replacement.
-        """
-        h_user = self._features(graph, "user")
-        h_item = self._features(graph, "item")
-        cfg = self.config
-        for step in range(1, cfg.num_steps + 1):
-            fanout = cfg.neighbor_samples[cfg.num_steps - step]
-            new_user = self._layerwise_pass(
-                graph, h_user, h_item, step, "user", fanout, batch_size, pool
-            )
-            new_item = self._layerwise_pass(
-                graph, h_item, h_user, step, "item", fanout, batch_size, pool
-            )
-            h_user, h_item = new_user, new_item
-        return h_user, h_item
-
-    def _layerwise_pass(
+    def _layerwise(
         self,
-        graph: BipartiteGraph,
-        own_prev: np.ndarray,
-        other_prev: np.ndarray,
-        step: int,
-        side: str,
-        fanout: int,
-        batch_size: int,
-        pool=None,
-    ) -> np.ndarray:
-        """Step-``step`` embeddings for every vertex on ``side``.
-
-        Neighbours for every chunk are sampled up front in the parent —
-        in the same fixed order the serial loop used, so the sampling
-        RNG stream is untouched by parallelism — then the chunks are
-        mapped over ``pool`` (in-process when ``pool`` is serial) and
-        written back in submission order.
-        """
-        sampler = self._sampler(graph)
-        n = graph.num_users if side == "user" else graph.num_items
-        transform, weight = self._step_modules(step, side)
-        counter_add("sage.vertices_embedded", n)
-        tasks = []
-        for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
-            observe("sage.frontier_size", stop - start)
-            chunk = np.arange(start, stop)
-            if side == "user":
-                neigh = sampler.sample_items_for_users(chunk, fanout)
-            else:
-                neigh = sampler.sample_users_for_items(chunk, fanout)
-            tasks.append((start, stop, neigh))
-        params = {
-            "m_w": transform.weight.data,
-            "m_b": transform.bias.data if transform.bias is not None else None,
-            "w_w": weight.weight.data,
-            "w_b": weight.bias.data if weight.bias is not None else None,
-            "activation": self.config.activation,
-            "aggregator": self.config.aggregator,
-        }
-        if pool is None:
-            pool = get_pool(1)
-        out = np.empty((n, self.config.embedding_dim), dtype=np.float64)
-        with shared_arrays(pool, own_prev, other_prev) as (own_h, other_h):
-            rows = pool.map(
-                _layerwise_chunk,
-                tasks,
-                context=(own_h, other_h, params),
-                label="sage.layerwise_chunk",
-            )
-        for (start, stop, _), block in zip(tasks, rows):
-            out[start:stop] = block
-        return out
-
-    # ------------------------------------------------------------------
-    # Sharded layer-wise inference (out-of-core)
-    # ------------------------------------------------------------------
-    def _shard_sampler(self, store):
-        """Cached per-store sampler over shard blocks (mirrors _sampler)."""
-        from repro.shard.sampler import ShardedNeighborSampler
-
-        cached = self._shard_sampler_cache
-        if cached is None or cached[0] is not store or cached[1].rng is not self._sample_rng:
-            self._shard_sampler_cache = (
-                store,
-                ShardedNeighborSampler(store, rng=self._sample_rng),
-            )
-            cached = self._shard_sampler_cache
-        return cached[1]
-
-    def _store_feature_spec(self, store, side: str) -> tuple[str, tuple[int, int]]:
-        """(path, shape) of the store's step-0 matrix, validated."""
-        dim = store.feature_dim(side)
-        if dim is None:
-            raise ValueError(f"graph is missing {side} features")
-        expected = self.user_dim if side == "user" else self.item_dim
-        if dim != expected:
-            raise ValueError(
-                f"{side} features have dim {dim}, module expects {expected}"
-            )
-        return str(store.feature_path(side)), (store.num(side), dim)
-
-    def _embed_all_sharded(
-        self, store, batch_size: int, pool, work_dir=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One mmap-to-mmap pass per step; see :meth:`embed_all_sharded`."""
-        from pathlib import Path
-
-        from repro.shard.storage import allocate_block, open_block
-
-        cfg = self.config
-        work = Path(work_dir) if work_dir is not None else store.path / "embed"
-        work.mkdir(parents=True, exist_ok=True)
-        sampler = self._shard_sampler(store)
-        current = {
-            side: self._store_feature_spec(store, side) for side in ("user", "item")
-        }
-        for step in range(1, cfg.num_steps + 1):
-            fanout = cfg.neighbor_samples[cfg.num_steps - step]
-            new: dict[str, tuple[str, tuple[int, int]]] = {}
-            for side in ("user", "item"):
-                other = "item" if side == "user" else "user"
-                # Double-buffered by step parity: the file this step
-                # overwrites held step-2's matrix, which nothing reads
-                # any more.
-                out_path = work / f"h_{side}_{step % 2}.bin"
-                out_shape = (store.num(side), cfg.embedding_dim)
-                allocate_block(out_path, np.float64, out_shape)
-                self._sharded_pass(
-                    store,
-                    sampler,
-                    current[side],
-                    current[other],
-                    (str(out_path), out_shape),
-                    step,
-                    side,
-                    fanout,
-                    batch_size,
-                    pool,
-                )
-                new[side] = (str(out_path), out_shape)
-            current = new
-        return (
-            open_block(current["user"][0], np.float64, current["user"][1], mode="r"),
-            open_block(current["item"][0], np.float64, current["item"][1], mode="r"),
-        )
-
-    def _sharded_pass(
-        self,
-        store,
-        sampler,
-        own_spec: tuple[str, tuple[int, int]],
-        other_spec: tuple[str, tuple[int, int]],
-        out_spec: tuple[str, tuple[int, int]],
-        step: int,
-        side: str,
-        fanout: int,
+        graph,
         batch_size: int,
         pool,
-    ) -> None:
-        """Step-``step`` matrices for ``side``, streamed through mmaps.
+        seed: int,
+        plan: list[dict[str, np.ndarray]] | None = None,
+        cached: list[dict[str, np.ndarray]] | None = None,
+    ) -> list[dict[str, np.ndarray]]:
+        """Step matrices ``[h^0, ..., h^P]`` of ``graph``, each a side dict.
 
-        Sampling happens here in the parent, chunk by chunk in the same
-        global order as the dense :meth:`_layerwise_pass` — that is the
-        fixed-order frontier exchange: the RNG stream, and therefore
-        every sampled id, matches the dense path regardless of shard
-        count or worker count.  Chunks are then grouped into one map
-        task per shard (a chunk belongs to the shard owning most of its
-        rows) so each worker streams one shard's blocks.
+        Every (step, side) pass runs chunk plan → sample →
+        :func:`_layerwise_chunk` → write.  Chunk ``k`` draws from
+        ``derive_rng(seed, key, side, step, k)``, so its neighbours do
+        not depend on which other chunks run.  ``plan[p - 1][side]``
+        lists the chunks to compute at step ``p`` (default: all); rows
+        outside them come from ``cached``, the list an earlier call
+        returned (shorter when the graph grew — new rows are always
+        planned).  A :class:`BipartiteGraph` writes an ndarray in the
+        parent, a ``ShardedCSR`` memmaps written by shard workers.
         """
-        n = store.num(side)
-        transform, weight = self._step_modules(step, side)
-        counter_add("sage.vertices_embedded", n)
-        own_shard = store.shard_of(side)
-        other = "item" if side == "user" else "user"
-        other_shard = store.shard_of(other)
-        chunks_per_shard: list[list[tuple[int, int, np.ndarray]]] = [
-            [] for s in range(store.num_shards)
-        ]
-        with span(
-            "shard.frontier_exchange", side=side, step=step, fanout=fanout
-        ):
-            for start in range(0, n, batch_size):
-                stop = min(start + batch_size, n)
-                observe("sage.frontier_size", stop - start)
-                heartbeat(
-                    f"shard.frontier.{side}", stop, n, step=step, fanout=fanout
-                )
-                chunk = np.arange(start, stop)
-                if side == "user":
-                    neigh = sampler.sample_items_for_users(chunk, fanout)
-                else:
-                    neigh = sampler.sample_users_for_items(chunk, fanout)
-                valid = neigh >= 0
-                cross = valid & (
-                    other_shard[np.where(valid, neigh, 0)]
-                    != own_shard[start:stop, None]
-                )
-                counter_add("shard.frontier_rows", int(valid.sum()))
-                counter_add("shard.frontier_cross_rows", int(cross.sum()))
-                home = int(
-                    np.bincount(
-                        own_shard[start:stop], minlength=store.num_shards
-                    ).argmax()
-                )
-                chunks_per_shard[home].append((start, stop, neigh))
-        params = {
-            "m_w": transform.weight.data,
-            "m_b": transform.bias.data if transform.bias is not None else None,
-            "w_w": weight.weight.data,
-            "w_b": weight.bias.data if weight.bias is not None else None,
-            "activation": self.config.activation,
-            "aggregator": self.config.aggregator,
-        }
-        tasks = [
-            (shard, chunks)
-            for shard, chunks in enumerate(chunks_per_shard)
-            if chunks
-        ]
-        pool.map(
-            _sharded_shard_task,
-            tasks,
-            context=(own_spec, other_spec, out_spec, params),
-            label="sage.sharded_shard",
-        )
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        cfg = self.config
+        if isinstance(graph, BipartiteGraph):
+            sink = _ArraySink(cfg.embedding_dim)
+        else:
+            sink = _ShardSink(graph, cfg.embedding_dim)
+        sampler = NeighborSampler(graph, rng=0)
+        h = [{side: self._features(graph, side) for side in _SIDES}]
+        try:
+            for step in range(1, cfg.num_steps + 1):
+                fanout = cfg.neighbor_samples[cfg.num_steps - step]
+                h.append({})
+                for side in _SIDES:
+                    n = len(h[0][side])
+                    if plan is None:
+                        chunk_ids = range(-(-n // batch_size))
+                    else:
+                        chunk_ids = plan[step - 1][side]
+                    if len(chunk_ids) == 0:  # nothing planned, no new rows
+                        h[step][side] = cached[step][side]
+                        continue
+                    tasks = []
+                    with sink.exchange(side, step, fanout):
+                        for k in chunk_ids:
+                            start = int(k) * batch_size
+                            stop = min(start + batch_size, n)
+                            observe("sage.frontier_size", stop - start)
+                            sampler.rng = derive_rng(
+                                seed, _STREAM_KEY, _SIDES.index(side), step, int(k)
+                            )
+                            chunk = np.arange(start, stop)
+                            if side == "user":
+                                neigh = sampler.sample_items_for_users(chunk, fanout)
+                            else:
+                                neigh = sampler.sample_users_for_items(chunk, fanout)
+                            tasks.append((start, stop, neigh))
+                        jobs = sink.route(side, tasks)
+                    counter_add(
+                        "sage.vertices_embedded",
+                        sum(stop - start for start, stop, _ in tasks),
+                    )
+                    h[step][side] = sink.write(
+                        pool,
+                        step,
+                        side,
+                        jobs,
+                        h[step - 1][side],
+                        h[step - 1][_OTHER[side]],
+                        self._step_params(step, side),
+                        n,
+                        None if cached is None else cached[step][side],
+                    )
+        finally:
+            sink.close()
+        return h
 
     def _aggregate(self, stacked: Tensor, valid: np.ndarray) -> Tensor:
         """AGGREGATE over the fan-out axis with a validity mask.

@@ -89,6 +89,10 @@ class BipartiteGraph:
         )
         self.user_features = self._check_features(user_features, num_users, "user")
         self.item_features = self._check_features(item_features, num_items, "item")
+        self._degrees = {
+            "user": np.diff(self._user_csr.indptr),
+            "item": np.diff(self._item_csr.indptr),
+        }
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -97,6 +101,12 @@ class BipartiteGraph:
     def _merge_duplicates(
         edges: np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Sum duplicate pairs, keeping first-occurrence edge order.
+
+        Keeping the order (instead of ``np.unique``'s sorted order) means
+        a merge never reorders a row's neighbours, so appending a
+        duplicate edge leaves every other row's CSR slice untouched.
+        """
         if not len(edges):
             return edges, weights
         unique, inverse = np.unique(edges, axis=0, return_inverse=True)
@@ -104,7 +114,9 @@ class BipartiteGraph:
             return edges, weights
         merged = np.zeros(len(unique), dtype=np.float64)
         np.add.at(merged, inverse, weights)
-        return unique, merged
+        first = np.unique(inverse, return_index=True)[1]
+        order = np.argsort(first)
+        return unique[order], merged[order]
 
     @staticmethod
     def _build_csr(
@@ -181,6 +193,25 @@ class BipartiteGraph:
 
     def item_degrees(self) -> np.ndarray:
         return np.diff(self._item_csr.indptr)
+
+    def degrees(self, side: str) -> np.ndarray:
+        """Degree array of ``side`` ("user" or "item"); read-only use."""
+        return self._degrees[side]
+
+    def gather_neighbors(
+        self, side: str, vertices: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """Neighbour ids at per-row ``offsets`` into each vertex's CSR row.
+
+        ``offsets`` is ``(len(vertices), fanout)``.  Rows of degree 0
+        return clamped garbage; callers mask them with :meth:`degrees`.
+        The same pair on :class:`~repro.shard.storage.ShardedCSR` lets
+        :class:`~repro.graph.sampling.NeighborSampler` draw from either.
+        """
+        csr = self._user_csr if side == "user" else self._item_csr
+        starts = csr.indptr[vertices]
+        positions = np.minimum(starts[:, None] + offsets, len(csr.indices) - 1)
+        return csr.indices[positions]
 
     def has_edge(self, user: int, item: int) -> bool:
         return item in self.item_neighbors(user)

@@ -27,9 +27,15 @@ class NeighborSampler:
     receive the placeholder index ``-1``, which callers map to a zero
     vector.
 
+    ``graph`` is a :class:`BipartiteGraph` or a
+    :class:`~repro.shard.storage.ShardedCSR`: unweighted draws touch the
+    graph only through ``degrees(side)`` and ``gather_neighbors``, and
+    both keep the same per-row neighbour order, so the same RNG state
+    yields the same samples from either.
+
     With ``weighted=True`` neighbours are drawn proportionally to their
     edge weights (importance sampling for the ``weighted_mean``
-    aggregator).
+    aggregator); that scheme needs an in-memory graph.
     """
 
     def __init__(
@@ -65,18 +71,19 @@ class NeighborSampler:
         vertices = np.asarray(vertices, dtype=np.int64)
         counter_add("sampler.samples_drawn", len(vertices) * fanout)
         counter_add("sampler.batches", 1)
-        csr = self.graph._user_csr if side == "user" else self.graph._item_csr
-        starts = csr.indptr[vertices]
-        degrees = csr.indptr[vertices + 1] - starts
         if self.weighted:
+            csr = self.graph._user_csr if side == "user" else self.graph._item_csr
+            starts = csr.indptr[vertices]
+            degrees = csr.indptr[vertices + 1] - starts
             return self._sample_weighted(csr, vertices, starts, degrees, fanout, side)
-        if len(csr.indices) == 0:
+        degrees = self.graph.degrees(side)[vertices]
+        if self.graph.num_edges == 0:
             return np.full((len(vertices), fanout), -1, dtype=np.int64)
         offsets = (
             self.rng.random((len(vertices), fanout)) * degrees[:, None]
         ).astype(np.int64)
-        positions = np.minimum(starts[:, None] + offsets, len(csr.indices) - 1)
-        return np.where(degrees[:, None] > 0, csr.indices[positions], -1)
+        picked = self.graph.gather_neighbors(side, vertices, offsets)
+        return np.where(degrees[:, None] > 0, picked, -1)
 
     def _sample_weighted(
         self,

@@ -1,31 +1,26 @@
 """Delta-aware online embedding refresh over cached layer-wise matrices.
 
-The layer-wise inference of PR 1 already caches the step ``p-1`` matrix
-while computing step ``p`` — exactly the structure Cascade-BGNN exploits
-for cheap per-layer recomputation.  :class:`StreamingEmbedder` keeps
-*all* per-step matrices alive between calls so that after a graph delta
-only the rows whose inputs could have changed are recomputed.
+Layer-wise inference caches the step ``p-1`` matrix while computing step
+``p`` — exactly the structure Cascade-BGNN exploits for cheap per-layer
+recomputation.  :class:`StreamingEmbedder` keeps *all* per-step matrices
+alive between calls so that after a graph delta only the rows whose
+inputs could have changed are recomputed.
 
-Two design decisions make :meth:`StreamingEmbedder.refresh` **bitwise
-identical** to a full pass over the mutated graph (not merely close):
+A refresh is a *partial chunk plan* of the model's one layer-wise engine
+(:meth:`repro.core.sage.BipartiteGraphSAGE._layerwise`), and two of that
+engine's properties make it **bitwise identical** to a full pass over
+the mutated graph (not merely close):
 
-1. **Content-addressed sampling.**  ``BipartiteGraphSAGE`` draws
-   neighbours from one sequential RNG stream, so recomputing a subset of
-   chunks would consume a different part of the stream than a full pass.
-   Here the RNG for every chunk is derived *purely from its coordinates*
-   — ``derive_rng(sample_seed, key, side, step, chunk_index)`` — so a
-   full pass and a delta pass draw identical neighbours for the same
-   chunk, and chunks left untouched keep draws identical to what a full
-   pass would have drawn for them.
-
+1. **Content-addressed sampling.**  The RNG of every chunk is derived
+   *purely from its coordinates* — ``derive_rng(sample_seed, key, side,
+   step, chunk_index)`` — so a full pass and a delta pass draw identical
+   neighbours for the same chunk.
 2. **Whole-chunk recomputation.**  BLAS matmuls are not guaranteed
-   bitwise-stable across operand shapes, so refreshing individual rows
-   through a smaller matmul could differ in the last ulp.  Refresh
-   instead recomputes every chunk containing at least one affected row
-   with the *exact same* ``(start, stop, neigh)`` task shape through the
-   same :func:`repro.core.sage._layerwise_chunk` kernel — identical
+   bitwise-stable across operand shapes, so refresh recomputes every
+   chunk containing at least one affected row with the *exact same*
+   ``(start, stop, neigh)`` task shape a full pass uses — identical
    inputs through identical code is identical bytes, at any worker
-   count (tasks are materialised and reduced in fixed submission order).
+   count.
 
 The affected set is propagated conservatively: a row is affected at step
 ``p`` if it is new, its adjacency changed (dirty), it was affected at
@@ -40,25 +35,19 @@ gracefully degrades to a full pass (same result, simpler execution).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.sage import _layerwise_chunk
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.sampling import NeighborSampler
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
-from repro.parallel import get_pool, shared_arrays
+from repro.parallel import get_pool
 from repro.streaming.incremental import IncrementalBipartiteGraph
-from repro.utils.rng import derive_rng
 
 __all__ = ["RefreshStats", "StreamingEmbedder"]
 
-# Key separating the streaming sampling stream from every other
-# derive_rng consumer (the trainer uses small integer keys).
-_STREAM_KEY = 0x51BE
-_SIDE_ID = {"user": 0, "item": 1}
 _SIDES = ("user", "item")
 
 
@@ -104,8 +93,11 @@ class StreamingEmbedder:
         treated as frozen between :meth:`full_embed` and
         :meth:`refresh` (retrain → call :meth:`full_embed` again).
     sample_seed:
-        Root of the content-addressed sampling stream.  Two embedders
-        with the same seed, model, and graph produce identical bytes.
+        Root of the content-addressed sampling stream (default: the
+        model's :attr:`~repro.core.sage.BipartiteGraphSAGE.sample_seed`,
+        so :meth:`full_embed` reproduces ``model.embed_all`` exactly).
+        Two embedders with the same seed, model, and graph produce
+        identical bytes.
     batch_size:
         Chunk size of the layer-wise passes; also the refresh
         granularity (whole chunks are recomputed).
@@ -117,7 +109,7 @@ class StreamingEmbedder:
     def __init__(
         self,
         model,
-        sample_seed: int = 0,
+        sample_seed: int | None = None,
         batch_size: int = 2048,
         degrade_threshold: float = 0.25,
     ) -> None:
@@ -126,6 +118,8 @@ class StreamingEmbedder:
         if not 0.0 < degrade_threshold <= 1.0:
             raise ValueError("degrade_threshold must be in (0, 1]")
         self.model = model
+        if sample_seed is None:
+            sample_seed = model.sample_seed
         self.sample_seed = int(sample_seed)
         self.batch_size = int(batch_size)
         self.degrade_threshold = float(degrade_threshold)
@@ -143,37 +137,18 @@ class StreamingEmbedder:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Embed every vertex, caching all per-step matrices.
 
-        Mathematically the same computation as
-        ``model.embed_all(mode="layerwise")`` — only the neighbour draws
-        come from the content-addressed stream instead of the model's
-        sequential one, which is what makes partial recomputation
-        exact.
+        The same engine run as ``model.embed_all`` — bitwise equal to it
+        when :attr:`sample_seed` is the model's and the chunk sizes
+        match.
         """
-        pool = get_pool(workers)
-        cfg = self.model.config
         with span(
             "streaming.full_embed",
             num_users=graph.num_users,
             num_items=graph.num_items,
         ):
-            h: list[dict[str, np.ndarray]] = [
-                {side: self.model._features(graph, side) for side in _SIDES}
-            ]
-            for step in range(1, cfg.num_steps + 1):
-                h.append(
-                    {
-                        side: self._pass(
-                            graph,
-                            h[step - 1][side],
-                            h[step - 1]["item" if side == "user" else "user"],
-                            step,
-                            side,
-                            pool,
-                        )
-                        for side in _SIDES
-                    }
-                )
-        self._h = h
+            self._h = self.model._layerwise(
+                graph, self.batch_size, get_pool(workers), self.sample_seed
+            )
         self._shape = (graph.num_users, graph.num_items)
         counter_add("streaming.full_passes", 1)
         return self.embeddings
@@ -241,19 +216,23 @@ class StreamingEmbedder:
         nu, ni = graph.num_users, graph.num_items
         steps = cfg.num_steps
         rows_total = (nu + ni) * steps
+        chunks_total = self._num_chunks(nu, ni) * steps
+        stats = functools.partial(
+            RefreshStats,
+            dirty_users=len(dirty_users),
+            dirty_items=len(dirty_items),
+            rows_total=rows_total,
+            chunks_total=chunks_total,
+        )
         if self._h is None:
             # Cold start: nothing cached, a full pass is the refresh.
             out = self.full_embed(graph, workers)
-            self.last_stats = RefreshStats(
+            self.last_stats = stats(
                 mode="full",
                 degraded=False,
-                dirty_users=len(dirty_users),
-                dirty_items=len(dirty_items),
                 affected_rows=rows_total,
                 rows_recomputed=rows_total,
-                rows_total=rows_total,
-                chunks_recomputed=self._num_chunks(nu, ni) * steps,
-                chunks_total=self._num_chunks(nu, ni) * steps,
+                chunks_recomputed=chunks_total,
             )
             return out
         old_nu, old_ni = self._shape
@@ -308,135 +287,41 @@ class StreamingEmbedder:
                     min((k + 1) * bs, n) - k * bs for k in ids
                 )
             plan.append(chunk_ids)
-        chunks_total = self._num_chunks(nu, ni) * steps
         fraction = rows_recomputed / rows_total if rows_total else 0.0
         if fraction > self.degrade_threshold:
             counter_add("streaming.degradations", 1)
             out = self.full_embed(graph, workers)
-            self.last_stats = RefreshStats(
+            self.last_stats = stats(
                 mode="full",
                 degraded=True,
-                dirty_users=len(dirty_users),
-                dirty_items=len(dirty_items),
                 affected_rows=affected_rows,
                 rows_recomputed=rows_total,
-                rows_total=rows_total,
                 chunks_recomputed=chunks_total,
-                chunks_total=chunks_total,
             )
             return out
 
-        # Delta pass: copy cached rows, recompute affected chunks with
-        # the exact full-pass task shapes.  New rows (>= old_n) are
-        # always inside recomputed chunks — they are marked affected at
-        # every step.
-        pool = get_pool(workers)
-        h = self._h
-        new_h: list[dict[str, np.ndarray]] = [
-            {side: self.model._features(graph, side) for side in _SIDES}
-        ]
-        for step in range(1, steps + 1):
-            chunk_ids = plan[step - 1]
-            new_step: dict[str, np.ndarray] = {}
-            for side in _SIDES:
-                ids = chunk_ids[side]
-                cached = h[step][side]
-                if len(ids) == 0:
-                    new_step[side] = cached  # shape unchanged: no new rows
-                    continue
-                new_step[side] = self._pass(
-                    graph,
-                    new_h[step - 1][side],
-                    new_h[step - 1]["item" if side == "user" else "user"],
-                    step,
-                    side,
-                    pool,
-                    chunk_ids=ids,
-                    cached=cached,
-                )
-            new_h.append(new_step)
-        self._h = new_h
+        # Delta pass: the engine recomputes the planned chunks with the
+        # exact full-pass task shapes and copies every other row.  New
+        # rows (>= old_n) are always planned — they are marked affected
+        # at every step.
+        self._h = self.model._layerwise(
+            graph,
+            self.batch_size,
+            get_pool(workers),
+            self.sample_seed,
+            plan=plan,
+            cached=self._h,
+        )
         self._shape = (nu, ni)
-        self.last_stats = RefreshStats(
+        self.last_stats = stats(
             mode="delta",
             degraded=False,
-            dirty_users=len(dirty_users),
-            dirty_items=len(dirty_items),
             affected_rows=affected_rows,
             rows_recomputed=rows_recomputed,
-            rows_total=rows_total,
             chunks_recomputed=chunks_recomputed,
-            chunks_total=chunks_total,
         )
         return self.embeddings
 
-    # ------------------------------------------------------------------
-    # Shared pass machinery
-    # ------------------------------------------------------------------
     def _num_chunks(self, nu: int, ni: int) -> int:
         bs = self.batch_size
         return (nu + bs - 1) // bs + (ni + bs - 1) // bs
-
-    def _chunk_rng(self, side: str, step: int, chunk: int) -> np.random.Generator:
-        """The pure-function RNG for one chunk's neighbour draw."""
-        return derive_rng(
-            self.sample_seed, _STREAM_KEY, _SIDE_ID[side], step, chunk
-        )
-
-    def _pass(
-        self,
-        graph: BipartiteGraph,
-        own_prev: np.ndarray,
-        other_prev: np.ndarray,
-        step: int,
-        side: str,
-        pool,
-        chunk_ids: np.ndarray | None = None,
-        cached: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Step-``step`` matrix for ``side``; optionally only some chunks.
-
-        With ``chunk_ids``/``cached`` set, rows outside the listed
-        chunks are copied from ``cached`` (which may be shorter when the
-        graph grew — the tail rows are always inside listed chunks).
-        """
-        cfg = self.model.config
-        n = graph.num_users if side == "user" else graph.num_items
-        fanout = cfg.neighbor_samples[cfg.num_steps - step]
-        transform, weight = self.model._step_modules(step, side)
-        bs = self.batch_size
-        if chunk_ids is None:
-            chunk_ids = np.arange((n + bs - 1) // bs)
-        sampler = NeighborSampler(graph, rng=0)
-        tasks = []
-        for k in chunk_ids:
-            start = int(k) * bs
-            stop = min(start + bs, n)
-            chunk = np.arange(start, stop)
-            sampler.rng = self._chunk_rng(side, step, int(k))
-            if side == "user":
-                neigh = sampler.sample_items_for_users(chunk, fanout)
-            else:
-                neigh = sampler.sample_users_for_items(chunk, fanout)
-            tasks.append((start, stop, neigh))
-        params = {
-            "m_w": transform.weight.data,
-            "m_b": transform.bias.data if transform.bias is not None else None,
-            "w_w": weight.weight.data,
-            "w_b": weight.bias.data if weight.bias is not None else None,
-            "activation": cfg.activation,
-            "aggregator": cfg.aggregator,
-        }
-        out = np.empty((n, cfg.embedding_dim), dtype=np.float64)
-        if cached is not None:
-            out[: len(cached)] = cached
-        with shared_arrays(pool, own_prev, other_prev) as (own_h, other_h):
-            rows = pool.map(
-                _layerwise_chunk,
-                tasks,
-                context=(own_h, other_h, params),
-                label="streaming.layerwise_chunk",
-            )
-        for (start, stop, _), block in zip(tasks, rows):
-            out[start:stop] = block
-        return out

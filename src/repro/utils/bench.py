@@ -6,7 +6,8 @@ sampling, and K-means.  Each of those hot paths now has a
 batch-efficient implementation *and* a retained reference
 implementation, so this harness can report honest before/after numbers:
 
-* ``embed_all`` — naive recursive inference (``before``) vs the
+* ``embed_all`` — every vertex through the naive training recursion
+  (batched ``embed_users``/``embed_items``, ``before``) vs the
   dedup-frontier recursion (``recursive_dedup``) vs layer-wise
   full-graph inference (``after``).
 * ``train_epoch`` — one training epoch with the naive recursion vs the
@@ -253,23 +254,33 @@ def _sage_module(graph, seed: int):
 
 
 def _bench_embed_all(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
+    from repro.nn.tensor import no_grad
+
     rows = []
     for size in GRAPH_SIZES[mode]:
         graph = _graph(size, feature_dim=8, seed=seed)
         module = _sage_module(graph, seed)
 
-        def run(embed_mode: str, dedup: bool):
+        def recursive(dedup: bool) -> None:
+            # Every vertex through the training recursion, in embed_all's
+            # default 2048-vertex batches, without building a tape.
             module.dedup_frontier = dedup
             try:
-                module.embed_all(graph, mode=embed_mode)
+                with no_grad():
+                    for n, embed in (
+                        (graph.num_users, module.embed_users),
+                        (graph.num_items, module.embed_items),
+                    ):
+                        for start in range(0, n, 2048):
+                            embed(graph, np.arange(start, min(start + 2048, n)))
             finally:
                 module.dedup_frontier = True
 
-        before = _best_of(lambda: run("recursive", False), repeats)
-        dedup = _best_of(lambda: run("recursive", True), repeats)
-        after = _best_of(lambda: run("layerwise", True), repeats)
+        before = _best_of(lambda: recursive(False), repeats)
+        dedup = _best_of(lambda: recursive(True), repeats)
+        after = _best_of(lambda: module.embed_all(graph), repeats)
         vertices = _counter_during(
-            lambda: run("layerwise", True), "sage.vertices_embedded"
+            lambda: module.embed_all(graph), "sage.vertices_embedded"
         )
         rows.append(
             {
@@ -680,7 +691,7 @@ def _bench_shard(
                 graph = store.to_graph()
                 before = _best_of(
                     lambda: _shard_model(dim, seed).embed_all(
-                        graph, batch_size=1024, mode="layerwise"
+                        graph, batch_size=1024
                     ),
                     repeats,
                 )
@@ -691,7 +702,7 @@ def _bench_shard(
                     repeats,
                 )
                 zu_d, zi_d = _shard_model(dim, seed).embed_all(
-                    graph, batch_size=1024, mode="layerwise"
+                    graph, batch_size=1024
                 )
                 zu_s, zi_s = _shard_model(dim, seed).embed_all(
                     store, batch_size=1024, workers=workers

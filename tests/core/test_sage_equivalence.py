@@ -1,18 +1,21 @@
 """Numerical equivalence of the hot-path rewrites in BipartiteGraphSAGE.
 
-The dedup-frontier recursion and the layer-wise ``embed_all`` must
-compute exactly what the naive recursion computes whenever neighbour
-sampling is a pure function of the vertex.  These tests install such a
+The dedup-frontier recursion and the layer-wise ``embed_all`` engine
+must compute exactly what the training recursion (``embed_users`` /
+``embed_items``, naive or dedup) computes whenever neighbour sampling is
+a pure function of the vertex.  These tests install such a
 deterministic sampler (first neighbours, cycled to the fan-out) and
-assert the rewrites agree with the retained reference paths.
+assert the rewrites agree with the recursion.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import sage
 from repro.core.sage import BipartiteGraphSAGE
 from repro.graph.generators import random_bipartite
 from repro.graph.sampling import NeighborSampler
+from repro.streaming import StreamingEmbedder
 from repro.utils.config import SageConfig
 
 
@@ -40,6 +43,13 @@ class DeterministicSampler:
 
     def sample_users_for_items(self, items, fanout):
         return self._take(self.graph._item_csr, items, fanout)
+
+
+@pytest.fixture()
+def deterministic_sampling(monkeypatch):
+    """Route every sampler the module builds — the training recursion's
+    and the layer-wise engine's — through :class:`DeterministicSampler`."""
+    monkeypatch.setattr(sage, "NeighborSampler", DeterministicSampler)
 
 
 @pytest.fixture()
@@ -104,21 +114,31 @@ class TestDedupEquivalence:
         assert touched >= 4  # duplicated ids accumulate identically
 
 
+def _recursive_all(mod, graph):
+    """Every vertex through the training recursion (embed_users/items)."""
+    users = mod.embed_users(graph, np.arange(graph.num_users)).data
+    items = mod.embed_items(graph, np.arange(graph.num_items)).data
+    return users, items
+
+
 class TestLayerwiseEquivalence:
     @pytest.mark.parametrize("aggregator", ["mean", "sum", "max"])
-    def test_layerwise_matches_recursive(self, graph, aggregator):
-        mod = _module(graph, aggregator=aggregator)
-        zu_layer, zi_layer = mod.embed_all(graph, batch_size=7, mode="layerwise")
-        zu_rec, zi_rec = mod.embed_all(graph, batch_size=7, mode="recursive")
+    def test_layerwise_matches_recursive(
+        self, graph, aggregator, deterministic_sampling
+    ):
+        mod = _module(graph, deterministic=False, aggregator=aggregator)
+        zu_layer, zi_layer = mod.embed_all(graph, batch_size=7)
+        zu_rec, zi_rec = _recursive_all(mod, graph)
         np.testing.assert_allclose(zu_layer, zu_rec, atol=1e-12)
         np.testing.assert_allclose(zi_layer, zi_rec, atol=1e-12)
 
-    def test_layerwise_matches_naive_recursive(self, graph):
-        mod = _module(graph)
-        zu_layer, _ = mod.embed_all(graph, mode="layerwise")
+    def test_layerwise_matches_naive_recursive(self, graph, deterministic_sampling):
+        mod = _module(graph, deterministic=False)
+        zu_layer, zi_layer = mod.embed_all(graph)
         mod.dedup_frontier = False
-        zu_naive, _ = mod.embed_all(graph, mode="recursive")
+        zu_naive, zi_naive = _recursive_all(mod, graph)
         np.testing.assert_allclose(zu_layer, zu_naive, atol=1e-12)
+        np.testing.assert_allclose(zi_layer, zi_naive, atol=1e-12)
 
     def test_layerwise_default_is_finite_and_shaped(self, graph):
         mod = _module(graph, deterministic=False)  # real sampler
@@ -129,15 +149,38 @@ class TestLayerwiseEquivalence:
 
     def test_unknown_mode_rejected(self, graph):
         mod = _module(graph)
-        with pytest.raises(ValueError):
-            mod.embed_all(graph, mode="bogus")
+        for mode in ("bogus", "recursive", "streaming"):
+            with pytest.raises(ValueError, match="layerwise"):
+                mod.embed_all(graph, mode=mode)
 
-    def test_streaming_mode_matches_layerwise_shapes(self, graph):
+    def test_repeat_calls_are_bitwise_equal(self, graph):
         mod = _module(graph, deterministic=False)
-        zu, zi = mod.embed_all(graph, mode="streaming")
-        assert zu.shape == (graph.num_users, 8)
-        assert zi.shape == (graph.num_items, 8)
-        assert np.all(np.isfinite(zu)) and np.all(np.isfinite(zi))
+        first = mod.embed_all(graph, batch_size=7)
+        second = mod.embed_all(graph, batch_size=7)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_training_does_not_move_inference_sampling(self, graph):
+        # Inference draws from the per-chunk stream rooted at the fixed
+        # sample_seed, so consuming the training stream changes nothing.
+        mod = _module(graph, deterministic=False)
+        before = mod.embed_all(graph)
+        mod.embed_users(graph, np.arange(5))
+        after = mod.embed_all(graph)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_streaming_matches_embed_all(self, graph):
+        mod = _module(graph, deterministic=False)
+        zu, zi = mod.embed_all(graph)
+        su, si = StreamingEmbedder(mod).full_embed(graph)
+        assert np.array_equal(zu, su) and np.array_equal(zi, si)
+
+    def test_models_with_different_seeds_sample_differently(self, graph):
+        cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3))
+        a = BipartiteGraphSAGE(6, 6, cfg, rng=0)
+        b = BipartiteGraphSAGE(6, 6, cfg, rng=1)
+        assert a.sample_seed != b.sample_seed
+        b.load_state_dict(a.state_dict())
+        assert not np.array_equal(a.embed_all(graph)[0], b.embed_all(graph)[0])
 
 
 class TestSamplerCache:

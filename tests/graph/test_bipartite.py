@@ -32,6 +32,17 @@ class TestConstruction:
         assert g.num_edges == 2
         assert g.edge_weight(0, 1) == pytest.approx(3.5)
 
+    def test_duplicate_merge_keeps_first_occurrence_order(self):
+        # Rows appended out of id order keep their neighbour order when a
+        # later duplicate forces a merge (the streaming refresh relies on
+        # a merge never reordering rows it did not mark dirty).
+        edges = np.array([[1, 3], [0, 2], [0, 0], [2, 1], [0, 2], [1, 0]])
+        g = BipartiteGraph(3, 4, edges, np.arange(1.0, 7.0))
+        assert g.edges.tolist() == [[1, 3], [0, 2], [0, 0], [2, 1], [1, 0]]
+        assert g.edge_weights.tolist() == [1.0, 7.0, 3.0, 4.0, 6.0]
+        assert g.item_neighbors(0).tolist() == [2, 0]
+        assert g.user_neighbors(0).tolist() == [0, 1]
+
     def test_out_of_range_indices_raise(self):
         with pytest.raises(ValueError):
             BipartiteGraph(2, 2, np.array([[2, 0]]))
@@ -77,6 +88,15 @@ class TestQueries:
         assert g.item_degree(0) == 2
         assert np.array_equal(g.user_degrees(), [2, 1, 1])
         assert np.array_equal(g.item_degrees(), [2, 2])
+        assert np.array_equal(g.degrees("user"), g.user_degrees())
+        assert np.array_equal(g.degrees("item"), g.item_degrees())
+
+    def test_gather_neighbors_indexes_csr_rows(self):
+        g = _simple_graph()
+        picked = g.gather_neighbors("user", np.array([0, 2]), np.array([[1, 0], [0, 0]]))
+        assert picked.tolist() == [[1, 0], [0, 0]]
+        picked = g.gather_neighbors("item", np.array([1]), np.array([[0, 1]]))
+        assert picked.tolist() == [[0, 1]]
 
     def test_has_edge_and_weight(self):
         g = _simple_graph()

@@ -49,6 +49,19 @@ def test_batch_size_does_not_change_result(tmp_path):
         assert np.array_equal(zu_d, np.asarray(zu_s))
 
 
+def test_later_call_does_not_overwrite_earlier_result(tmp_path):
+    graph = _world(seed=2)
+    with graph.to_sharded(tmp_path / "s", num_shards=3) as store:
+        first = _model(seed=3).embed_all(store, batch_size=64)
+        snapshot = [np.array(z) for z in first]
+        second = _model(seed=4).embed_all(store, batch_size=64)
+        assert not np.array_equal(np.asarray(second[0]), snapshot[0])
+        for z, want in zip(first, snapshot):
+            assert np.array_equal(np.asarray(z), want)
+        # Step files are unlinked once mapped: nothing is left to reuse.
+        assert list((store.path / "embed").iterdir()) == []
+
+
 def test_recursive_mode_rejected(tmp_path):
     graph = _world(seed=1)
     with graph.to_sharded(tmp_path / "s", num_shards=2) as store:

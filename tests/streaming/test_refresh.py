@@ -222,6 +222,29 @@ class TestErrorPaths:
 
 
 @pytest.mark.parallel
+class TestDuplicateEdges:
+    def test_duplicate_edge_after_out_of_order_delta(self):
+        # A delta appends edges out of id order (low users onto high
+        # items); a later duplicate edge rebuilds the graph through the
+        # duplicate merge, which must not re-sort those earlier rows —
+        # the refresh never marks them dirty again.
+        graph = random_bipartite(5000, 3000, 20000, feature_dim=6, rng=0)
+        cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3))
+        model = BipartiteGraphSAGE(6, 6, cfg, rng=0)
+        embedder = StreamingEmbedder(model, batch_size=64, degrade_threshold=1.0)
+        embedder.full_embed(graph)
+        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        fresh = np.array([[0, 2999], [1, 2998]])
+        assert not any(graph.has_edge(u, i) for u, i in fresh)
+        inc.add_edges(fresh)
+        embedder.refresh(inc)
+        inc.add_edges(graph.edges[:1])  # an edge that already exists
+        embedder.refresh(inc)
+        assert embedder.last_stats.mode == "delta"
+        reference = StreamingEmbedder(model, batch_size=64).full_embed(inc.graph)
+        _assert_bitwise_equal(embedder.embeddings, reference)
+
+
 class TestWorkerEquivalence:
     @pytest.fixture(scope="class", autouse=True)
     def _shutdown(self):
