@@ -167,50 +167,70 @@ def test_ablation_negative_counts_and_gamma(benchmark, report):
     assert all(p > chance for p in scores.values())
 
 
+# (dataset seed, HiGNN seed) pairs the concat ablation averages over.
+# One tiny-dataset seed is too noisy to rank two representations whose
+# AUCs differ by a few hundredths, so the gap is averaged, as the
+# Table III bench averages its seeds.
+CONCAT_SEED_PAIRS = tuple((seed, seed) for seed in range(7))
+
+
+def _concat_vs_last_level_auc(dataset_seed, hignn_seed):
+    dataset = load_dataset("mini-taobao1", size="tiny", seed=dataset_seed)
+    config = HiGNNConfig(levels=2, sage=SAGE, train=TRAIN)
+    hierarchy = HiGNN(config, seed=hignn_seed).fit(dataset.graph)
+    results = {}
+    variants = {
+        "concat (z^H)": (
+            hierarchy.hierarchical_user_embeddings(),
+            hierarchy.hierarchical_item_embeddings(),
+            [
+                (
+                    hierarchy.user_level_embeddings(l),
+                    hierarchy.item_level_embeddings(l),
+                )
+                for l in (1, 2)
+            ],
+        ),
+        "last level only": (
+            hierarchy.user_level_embeddings(2),
+            hierarchy.item_level_embeddings(2),
+            [
+                (
+                    hierarchy.user_level_embeddings(2),
+                    hierarchy.item_level_embeddings(2),
+                )
+            ],
+        ),
+    }
+    for name, (ur, ir, inter) in variants.items():
+        assembler = FeatureAssembler.for_dataset(dataset, ur, ir, interactions=inter)
+        train = _prepare_train_samples(dataset, ensure_rng(0))
+        x, y = assembler.assemble_samples(train)
+        model, _ = train_cvr_model(x, y, CVRTrainConfig(epochs=12), rng=0)
+        x_test, y_test = assembler.assemble_samples(dataset.test)
+        results[name] = auc_metric(y_test, model.predict_proba(x_test))
+    return results
+
+
 def test_ablation_hierarchy_concat_vs_last_level(benchmark, report):
-    dataset = load_dataset("mini-taobao1", size="tiny", seed=0)
-
     def run():
-        config = HiGNNConfig(levels=2, sage=SAGE, train=TRAIN)
-        hierarchy = HiGNN(config, seed=0).fit(dataset.graph)
-        results = {}
-        variants = {
-            "concat (z^H)": (
-                hierarchy.hierarchical_user_embeddings(),
-                hierarchy.hierarchical_item_embeddings(),
-                [
-                    (
-                        hierarchy.user_level_embeddings(l),
-                        hierarchy.item_level_embeddings(l),
-                    )
-                    for l in (1, 2)
-                ],
-            ),
-            "last level only": (
-                hierarchy.user_level_embeddings(2),
-                hierarchy.item_level_embeddings(2),
-                [
-                    (
-                        hierarchy.user_level_embeddings(2),
-                        hierarchy.item_level_embeddings(2),
-                    )
-                ],
-            ),
+        return {
+            pair: _concat_vs_last_level_auc(*pair) for pair in CONCAT_SEED_PAIRS
         }
-        for name, (ur, ir, inter) in variants.items():
-            assembler = FeatureAssembler.for_dataset(
-                dataset, ur, ir, interactions=inter
-            )
-            train = _prepare_train_samples(dataset, ensure_rng(0))
-            x, y = assembler.assemble_samples(train)
-            model, _ = train_cvr_model(x, y, CVRTrainConfig(epochs=12), rng=0)
-            x_test, y_test = assembler.assemble_samples(dataset.test)
-            results[name] = auc_metric(y_test, model.predict_proba(x_test))
-        return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    per_pair = benchmark.pedantic(run, rounds=1, iterations=1)
+    names = ("concat (z^H)", "last level only")
+    results = {n: float(np.mean([r[n] for r in per_pair.values()])) for n in names}
     rows = [[n, f"{v:.4f}"] for n, v in results.items()]
-    report("ablation_concat", format_table(["Representation", "AUC"], rows))
+    rows += [
+        [f"gap, seeds {pair}", f"{r[names[0]] - r[names[1]]:+.4f}"]
+        for pair, r in per_pair.items()
+    ]
+    report(
+        "ablation_concat",
+        format_table(["Representation", "AUC"], rows)
+        + f"\n(mean over (dataset, HiGNN) seed pairs {CONCAT_SEED_PAIRS})",
+    )
     # The paper's concatenation keeps the individual-level signal that a
     # coarse-only representation throws away.
     assert results["concat (z^H)"] > results["last level only"] - 0.02

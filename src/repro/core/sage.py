@@ -17,18 +17,24 @@ Two hot-path optimisations keep this tractable at scale (Section III-D;
 cf. Cascade-BGNN's redundancy elimination):
 
 * **Frontier deduplication** — at every recursion level the flattened
-  id frontier is reduced to its unique vertices with ``np.unique``;
-  each unique vertex is embedded once and the rows are scattered back
-  through the inverse index.  Popular vertices appear many times in a
-  ``K_1 x K_2`` frontier, so this cuts forward *and* backward FLOPs
-  superlinearly with graph skew.  The naive recursion is retained
-  (``dedup=False``) as the reference for equivalence tests and the
-  hot-path benchmark.
+  id frontier is reduced to its unique vertices; each unique vertex is
+  embedded once and its rows are read back through the inverse index.
+  Popular vertices appear many times in a ``K_1 x K_2`` frontier, so
+  this cuts forward *and* backward FLOPs superlinearly with graph skew.
+  The naive recursion is retained (``dedup=False``) as the reference for
+  equivalence tests and the hot-path benchmark.
 * **Layer-wise full-graph inference** — :meth:`embed_all` computes the
   step-``p`` matrices for *all* vertices from the cached step-``p-1``
   matrices, one pass per step, instead of re-expanding the whole
-  receptive field per batch.  The sampled recursive path remains the
-  training path (it builds the autograd graph).
+  receptive field per batch.
+
+One numpy kernel, :func:`_sage_forward`, computes Eqs. 1–4 for every
+caller.  Inference runs it chunk by chunk; training runs it inside
+:func:`sage_step`, a single autograd op per SAGE step with a
+hand-written backward.  The sampled recursive path stays the training
+path, but its tape holds one node per step instead of a gather, mask,
+AGGREGATE, ``M``, CONCAT, ``W`` and activation chain; only the
+edge-similarity head and J_BG (Eq. 5) are differentiated op by op.
 
 Inference has exactly one engine, :meth:`BipartiteGraphSAGE._layerwise`:
 chunk plan → sample → :func:`_layerwise_chunk` → write.  Chunk ``k`` of
@@ -52,23 +58,23 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.sampling import NeighborSampler
-from repro.nn.layers import Activation, Linear, Module
+from repro.nn.layers import Linear, Module
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
-from repro.nn.tensor import Tensor, concat, where
+from repro.nn.tensor import Tensor, _scatter_rows
 from repro.parallel import as_ndarray, get_pool, shared_arrays
 from repro.utils.config import SageConfig
 from repro.utils.rng import clone_rng, derive_rng, ensure_rng
 
-__all__ = ["BipartiteGraphSAGE"]
+__all__ = ["BipartiteGraphSAGE", "sage_step"]
 
 
 # ---------------------------------------------------------------------------
-# Layer-wise chunk kernel (plain numpy, runs in-process or in workers)
+# The Eqs. 1–4 kernel (plain numpy, runs in-process or in workers)
 # ---------------------------------------------------------------------------
-# These replicate the Tensor forward math operation-for-operation (same
-# numpy expressions, same order) so chunk outputs are bitwise identical
-# to the autograd path — and therefore identical for every worker count.
+# These repeat the Tensor ops' numpy expressions in the same order, so
+# inference chunks, the fused training op and an op-at-a-time tape of
+# the same step all produce the same bytes, at any worker count.
 
 _NP_ACTIVATIONS = {
     "relu": lambda x: x * (x > 0),
@@ -84,18 +90,24 @@ _NP_ACTIVATIONS = {
 
 
 def _np_aggregate(stacked: np.ndarray, valid: np.ndarray, agg: str) -> np.ndarray:
-    """Numpy mirror of :meth:`BipartiteGraphSAGE._aggregate`."""
-    maskf = valid.astype(float)[:, :, None]
-    if agg in ("mean", "weighted_mean"):
-        counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
-        return (stacked * maskf).sum(axis=1) * (1.0 / counts)
-    if agg == "sum":
-        return (stacked * maskf).sum(axis=1)
+    """AGGREGATE over the fan-out axis of ``stacked`` (n, K, d).
+
+    ``valid`` (n, K) marks real samples; padding rows are ignored.
+    ``weighted_mean`` differs from ``mean`` only in how neighbours are
+    sampled (by edge weight, upstream).
+    """
     if agg == "max":
         masked = np.where(valid[:, :, None], stacked, np.full(stacked.shape, -1e30))
         any_valid = valid.any(axis=1)[:, None].astype(float)
         return masked.max(axis=1) * any_valid
-    raise ValueError(f"unknown aggregator {agg!r}")
+    if agg not in ("mean", "weighted_mean", "sum"):
+        raise ValueError(f"unknown aggregator {agg!r}")
+    # Masking by 1.0 is exact, so a block without padding skips it.
+    masked = stacked if valid.all() else stacked * valid.astype(float)[:, :, None]
+    if agg == "sum":
+        return masked.sum(axis=1)
+    counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
+    return masked.sum(axis=1) * (1.0 / counts)
 
 
 def _sharded_shard_task(task: tuple, context: tuple) -> int:
@@ -139,6 +151,35 @@ def _sharded_shard_task(task: tuple, context: tuple) -> int:
     return shard_id
 
 
+def _sage_forward(
+    own: np.ndarray,
+    other: np.ndarray,
+    index: np.ndarray,
+    valid: np.ndarray,
+    params: dict,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eqs. 1–4 for one block of vertices: the one kernel of the module.
+
+    ``own`` holds the block's own step ``p-1`` rows, ``other`` the
+    neighbour side's step ``p-1`` rows, ``index`` (n, K) the row of
+    ``other`` for each sampled neighbour and ``valid`` (n, K) which of
+    those are real (padding rows are ignored).  Returns the step-``p``
+    rows plus the intermediates the training backward reuses:
+    ``(h, aggregated, combined, pre_activation)``.
+    """
+    stacked = np.take(other, index, axis=0)
+    aggregated = _np_aggregate(stacked, valid, params["aggregator"])
+    transformed = aggregated @ params["m_w"]  # Eq. 1 / Eq. 2 (M has no bias)
+    if params["m_b"] is not None:
+        transformed = transformed + params["m_b"]
+    combined = np.concatenate([own, transformed], axis=-1)
+    z = combined @ params["w_w"]
+    if params["w_b"] is not None:
+        z = z + params["w_b"]
+    h = _NP_ACTIVATIONS[params["activation"]](z)  # Eq. 3 / Eq. 4
+    return h, aggregated, combined, z
+
+
 def _layerwise_chunk(task: tuple, context: tuple) -> np.ndarray:
     """Embed one pre-sampled vertex chunk at one step (Eqs. 1–4).
 
@@ -149,19 +190,126 @@ def _layerwise_chunk(task: tuple, context: tuple) -> np.ndarray:
     """
     start, stop, neigh = task
     own_handle, other_handle, params = context
-    own_prev = as_ndarray(own_handle)
+    own_prev = as_ndarray(own_handle)[start:stop]
     other_prev = as_ndarray(other_handle)
     valid = neigh >= 0
-    stacked = other_prev[np.where(valid, neigh, 0)]
-    aggregated = _np_aggregate(stacked, valid, params["aggregator"])
-    transformed = aggregated @ params["m_w"]  # Eq. 1 / Eq. 2 (M has no bias)
-    if params["m_b"] is not None:
-        transformed = transformed + params["m_b"]
-    combined = np.concatenate([own_prev[start:stop], transformed], axis=-1)
-    z = combined @ params["w_w"]
-    if params["w_b"] is not None:
-        z = z + params["w_b"]
-    return _NP_ACTIVATIONS[params["activation"]](z)  # Eq. 3 / Eq. 4
+    index = np.where(valid, neigh, 0)
+    return _sage_forward(own_prev, other_prev, index, valid, params)[0]
+
+
+# ---------------------------------------------------------------------------
+# The fused training op: Eqs. 1–4 with a hand-written backward
+# ---------------------------------------------------------------------------
+# Each expression below repeats the one the op-at-a-time tape would
+# evaluate for the same step (activation, bias add, two matmuls, CONCAT,
+# the masked aggregate, the row gather), so gradients are bitwise equal
+# to differentiating the chain node by node.
+
+
+def _activation_grad(
+    name: str, grad: np.ndarray, z: np.ndarray, h: np.ndarray
+) -> np.ndarray:
+    """d loss / d pre-activation, given d loss / d ``h`` = act(``z``)."""
+    if name == "relu":
+        return grad * (z > 0)
+    if name == "leaky_relu":
+        return grad * np.where(z > 0, 1.0, 0.01)
+    if name == "tanh":
+        return grad * (1.0 - h**2)
+    if name == "sigmoid":
+        return grad * h * (1.0 - h)
+    return grad  # identity
+
+
+def _aggregate_grad(
+    grad: np.ndarray, other: np.ndarray, index: np.ndarray, valid: np.ndarray, agg: str
+) -> np.ndarray:
+    """d loss / d stacked neighbour rows (n, K, d), given d loss / d AGGREGATE."""
+    maskf = valid.astype(float)[:, :, None]
+    if agg in ("mean", "weighted_mean"):
+        counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
+        return (grad * (1.0 / counts))[:, None, :] * maskf
+    if agg == "sum":
+        return grad[:, None, :] * maskf
+    if agg == "max":
+        # The gradient goes to the arg-max rows, split evenly among ties.
+        masked = np.where(valid[:, :, None], np.take(other, index, axis=0), -1e30)
+        top = masked.max(axis=1)[:, None, :]
+        hits = masked == top
+        g = (grad * valid.any(axis=1)[:, None].astype(float))[:, None, :]
+        return hits * g / hits.sum(axis=1, keepdims=True) * maskf
+    raise ValueError(f"unknown aggregator {agg!r}")
+
+
+def _kernel_params(
+    transform: Linear, weight: Linear, activation: str, aggregator: str
+) -> dict:
+    """The arrays and names :func:`_sage_forward` reads for one step."""
+    return {
+        "m_w": transform.weight.data,
+        "m_b": None if transform.bias is None else transform.bias.data,
+        "w_w": weight.weight.data,
+        "w_b": None if weight.bias is None else weight.bias.data,
+        "activation": activation,
+        "aggregator": aggregator,
+    }
+
+
+def sage_step(
+    own_prev: Tensor,
+    other: Tensor,
+    index: np.ndarray,
+    valid: np.ndarray,
+    transform: Linear,
+    weight: Linear,
+    activation: str,
+    aggregator: str,
+) -> Tensor:
+    """One SAGE step (Eqs. 1–4) as a single autograd op.
+
+    ``own_prev`` (n, d_own) holds the vertices' own step ``p-1`` rows,
+    ``other`` (m, d_other) the step ``p-1`` rows of their unique sampled
+    neighbours, ``index`` (n, K) the ``other`` row of each sample and
+    ``valid`` (n, K) which samples are real.  ``transform`` and
+    ``weight`` are the step's ``M`` and ``W``.  The forward is the
+    inference kernel :func:`_sage_forward`; the backward is written by
+    hand and skips every input that does not require grad (step-0
+    features never do).
+    """
+    params = _kernel_params(transform, weight, activation, aggregator)
+    h, aggregated, combined, z = _sage_forward(
+        own_prev.data, other.data, index, valid, params
+    )
+    d_own = own_prev.shape[1]
+
+    def backward(grad: np.ndarray) -> None:
+        g = _activation_grad(activation, grad, z, h)
+        if weight.bias is not None and weight.bias.requires_grad:
+            weight.bias._accumulate(g.sum(axis=0), owned=True)
+        if weight.weight.requires_grad:
+            weight.weight._accumulate(combined.T @ g, owned=True)
+        d_combined = g @ weight.weight.data.T
+        if own_prev.requires_grad:
+            own_prev._accumulate(d_combined[:, :d_own])
+        # The tape hands M's matmul a contiguous copy of this slice.
+        d_transformed = np.ascontiguousarray(d_combined[:, d_own:])
+        if transform.bias is not None and transform.bias.requires_grad:
+            transform.bias._accumulate(d_transformed.sum(axis=0), owned=True)
+        if transform.weight.requires_grad:
+            transform.weight._accumulate(aggregated.T @ d_transformed, owned=True)
+        if other.requires_grad:
+            d_aggregated = d_transformed @ transform.weight.data.T
+            d_stacked = _aggregate_grad(
+                d_aggregated, other.data, index, valid, aggregator
+            )
+            other._accumulate(_scatter_rows(index, d_stacked, other.shape), owned=True)
+
+    # own_prev before other: the tape then walks the own-side subtree
+    # first, as it did for the CONCAT of Eqs. 3–4, so shared parameters
+    # accumulate their gradients in the same order.
+    parents = [own_prev, other, transform.weight, weight.weight]
+    parents += [p for p in (transform.bias, weight.bias) if p is not None]
+    return Tensor._make(h, parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +452,12 @@ class BipartiteGraphSAGE(Module):
         rng = ensure_rng(rng)
         self.user_dim = user_dim
         self.item_dim = item_dim
+        if cfg.activation not in _NP_ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {cfg.activation!r}; "
+                f"choose from {sorted(_NP_ACTIVATIONS)}"
+            )
         d = cfg.embedding_dim
-        self.activation = Activation(cfg.activation)
 
         # Per-step dimensions: step 1 consumes raw features, later steps
         # consume d-dimensional embeddings from the previous step.
@@ -416,18 +568,6 @@ class BipartiteGraphSAGE(Module):
             return self.user_transform[step - 1], self.user_weight[step - 1]
         return self.item_transform[step - 1], self.item_weight[step - 1]
 
-    def _step_params(self, step: int, side: str) -> dict:
-        """The weights :func:`_layerwise_chunk` needs for one pass."""
-        transform, weight = self._step_modules(step, side)
-        return {
-            "m_w": transform.weight.data,
-            "m_b": transform.bias.data if transform.bias is not None else None,
-            "w_w": weight.weight.data,
-            "w_b": weight.bias.data if weight.bias is not None else None,
-            "activation": self.config.activation,
-            "aggregator": self.config.aggregator,
-        }
-
     def _embed(
         self,
         graph: BipartiteGraph,
@@ -450,8 +590,7 @@ class BipartiteGraphSAGE(Module):
             observe("sage.frontier_size", len(ids))
             return self._embed_naive(graph, ids, step, side)
         mask = ids >= 0
-        safe = np.where(mask, ids, 0)
-        unique, inverse = np.unique(safe, return_inverse=True)
+        unique, inverse = np.unique(np.where(mask, ids, 0), return_inverse=True)
         counter_add("sage.vertices_embedded", len(unique))
         observe("sage.frontier_size", len(unique))
         out = self._embed_frontier(graph, unique, step, side).gather_rows(inverse)
@@ -459,39 +598,52 @@ class BipartiteGraphSAGE(Module):
             out = out * mask[:, None].astype(float)
         return out
 
+    def _sample(
+        self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str
+    ) -> np.ndarray:
+        """Training-stream neighbour sample (len(ids), K_step) for ``step``."""
+        fanout = self.config.neighbor_samples[self.config.num_steps - step]
+        sampler = self._sampler(graph)
+        if side == "user":
+            return sampler.sample_items_for_users(ids, fanout)
+        return sampler.sample_users_for_items(ids, fanout)
+
     def _embed_frontier(
         self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str
     ) -> Tensor:
-        """h^step for a frontier of unique, valid ids on ``side``."""
-        cfg = self.config
+        """h^step for a frontier of unique, valid ids on ``side``.
+
+        Samples the frontier's neighbours, embeds each unique neighbour
+        once at ``step - 1`` and applies one :func:`sage_step`.
+        """
         if step == 0:
             return Tensor(self._features(graph, side)[ids])
-
-        # Own embedding at the previous step (the CONCAT left operand).
+        # Own rows first: the sampling stream is consumed in this order.
         own_prev = self._embed_frontier(graph, ids, step - 1, side)
-
-        # Sampled neighbour embeddings at the previous step.
-        fanout = cfg.neighbor_samples[cfg.num_steps - step]
-        sampler = self._sampler(graph)
-        if side == "user":
-            neigh = sampler.sample_items_for_users(ids, fanout)
-        else:
-            neigh = sampler.sample_users_for_items(ids, fanout)
-        other = "item" if side == "user" else "user"
-        flat = self._embed(graph, neigh.reshape(-1), step - 1, other)
-        stacked = flat.reshape(len(ids), fanout, flat.shape[1])
-        aggregated = self._aggregate(stacked, neigh >= 0)
-
-        transform, weight = self._step_modules(step, side)
-        transformed = transform(aggregated)  # Eq. 1 / Eq. 2
-        combined = concat([own_prev, transformed], axis=-1)
-        return self.activation(weight(combined))  # Eq. 3 / Eq. 4
+        neigh = self._sample(graph, ids, step, side)
+        valid = neigh >= 0
+        other_side = _OTHER[side]
+        unique, inverse = np.unique(
+            np.where(valid, neigh, 0).reshape(-1), return_inverse=True
+        )
+        counter_add("sage.vertices_embedded", len(unique))
+        observe("sage.frontier_size", len(unique))
+        other = self._embed_frontier(graph, unique, step - 1, other_side)
+        cfg = self.config
+        return sage_step(
+            own_prev,
+            other,
+            inverse.reshape(neigh.shape),
+            valid,
+            *self._step_modules(step, side),
+            cfg.activation,
+            cfg.aggregator,
+        )
 
     def _embed_naive(
         self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str
     ) -> Tensor:
         """Reference recursion: every frontier occurrence embedded anew."""
-        cfg = self.config
         mask = ids >= 0
         safe = np.where(mask, ids, 0)
 
@@ -501,23 +653,19 @@ class BipartiteGraphSAGE(Module):
             return Tensor(base)
 
         own_prev = self._embed_naive(graph, ids, step - 1, side)
-
-        fanout = cfg.neighbor_samples[cfg.num_steps - step]
-        sampler = self._sampler(graph)
-        if side == "user":
-            neigh = sampler.sample_items_for_users(safe, fanout)
-        else:
-            neigh = sampler.sample_users_for_items(safe, fanout)
+        neigh = self._sample(graph, safe, step, side)
         neigh[~mask] = -1
-        other = "item" if side == "user" else "user"
-        flat = self._embed_naive(graph, neigh.reshape(-1), step - 1, other)
-        stacked = flat.reshape(len(ids), fanout, flat.shape[1])
-        aggregated = self._aggregate(stacked, neigh >= 0)
-
-        transform, weight = self._step_modules(step, side)
-        transformed = transform(aggregated)  # Eq. 1 / Eq. 2
-        combined = concat([own_prev, transformed], axis=-1)
-        out = self.activation(weight(combined))  # Eq. 3 / Eq. 4
+        other = self._embed_naive(graph, neigh.reshape(-1), step - 1, _OTHER[side])
+        cfg = self.config
+        out = sage_step(
+            own_prev,
+            other,
+            np.arange(neigh.size).reshape(neigh.shape),
+            neigh >= 0,
+            *self._step_modules(step, side),
+            cfg.activation,
+            cfg.aggregator,
+        )
         if not mask.all():
             out = out * mask[:, None].astype(float)
         return out
@@ -595,34 +743,14 @@ class BipartiteGraphSAGE(Module):
                         jobs,
                         h[step - 1][side],
                         h[step - 1][_OTHER[side]],
-                        self._step_params(step, side),
+                        _kernel_params(
+                            *self._step_modules(step, side),
+                            cfg.activation,
+                            cfg.aggregator,
+                        ),
                         n,
                         None if cached is None else cached[step][side],
                     )
         finally:
             sink.close()
         return h
-
-    def _aggregate(self, stacked: Tensor, valid: np.ndarray) -> Tensor:
-        """AGGREGATE over the fan-out axis with a validity mask.
-
-        ``stacked`` is (n, K, d); ``valid`` marks real neighbours (False
-        entries are padding for isolated vertices).
-        """
-        agg = self.config.aggregator
-        maskf = valid.astype(float)[:, :, None]
-        if agg in ("mean", "weighted_mean"):
-            # weighted_mean differs only in how neighbours are *sampled*
-            # (importance sampling by edge weight happens upstream).
-            counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
-            summed = (stacked * maskf).sum(axis=1)
-            return summed * (1.0 / counts)
-        if agg == "sum":
-            return (stacked * maskf).sum(axis=1)
-        if agg == "max":
-            neg_inf = Tensor(np.full(stacked.shape, -1e30))
-            masked = where(valid[:, :, None], stacked, neg_inf)
-            out = masked.max(axis=1)
-            any_valid = valid.any(axis=1)[:, None].astype(float)
-            return out * any_valid
-        raise ValueError(f"unknown aggregator {agg!r}")

@@ -539,11 +539,32 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, grad)
-                self._accumulate(full, owned=True)
+                self._accumulate(_scatter_rows(idx, grad, self.data.shape), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def _scatter_rows(
+    idx: np.ndarray, grad: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Sum the rows of ``grad`` into a zero array of ``shape`` at ``idx``.
+
+    The backward of a row gather: ``grad[j]`` lands on row ``idx[j]``
+    (``idx`` of any shape, negative ids counting from the end).  One
+    flattened ``np.bincount`` over ``(row, column)`` cells does the
+    scatter.  ``bincount`` adds its weights in index order, exactly as
+    ``numpy.add.at`` does, so the result is bitwise equal to
+    ``numpy.add.at(np.zeros(shape), idx, grad)`` at a fraction of the cost.
+    """
+    n, width = shape[0], int(np.prod(shape[1:], dtype=np.int64))
+    rows = np.asarray(idx, dtype=np.int64).reshape(-1)
+    if rows.size and rows.min() < 0:
+        rows = np.where(rows < 0, rows + n, rows)
+    cells = (rows * width)[:, None] + np.arange(width)
+    flat = np.bincount(
+        cells.reshape(-1), weights=grad.reshape(-1), minlength=n * width
+    )
+    return flat.reshape(shape)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
