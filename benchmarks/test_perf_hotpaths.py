@@ -1,23 +1,25 @@
 """Hot-path perf benchmark — the Section III-D scalability claim.
 
-Times the three loops the paper's complexity analysis names (recursive
-neighbour embedding, neighbour sampling, K-means) with their retained
-reference implementations ("before") against the batch-efficient
-rewrites ("after"), and writes the tracked ``BENCH_hotpaths.json``
-report at the repo root.  ``benchmarks/run_benchmarks.py`` (or
-``python -m repro.cli bench``) produces the same report standalone;
-``--mode full`` regenerates the record at the full workload grid.
+Times the live implementation of the three loops the paper's
+complexity analysis names (neighbour embedding, neighbour sampling,
+K-means) and the paths around them, one ``wall_s`` per row, and writes
+the ``BENCH_hotpaths.json`` report at the repo root.
+``benchmarks/run_benchmarks.py`` (or ``python -m repro.cli bench``)
+produces the same report standalone; ``--mode full`` regenerates the
+record at the full workload grid.  Whether a path got slower is
+answered against the committed record by the opt-in
+``--check-baseline`` test below.
 
-The v3 ``parallel`` section is smoked here with a 2-worker pool under a
+The ``parallel`` section is smoked here with a 2-worker pool under a
 hard map timeout so a wedged pool fails the run instead of hanging it.
 No parallel *speedup* is asserted: fan-out can only win when
 ``os.cpu_count()`` exceeds the pool size, which CI boxes don't promise
 (the tracked report records the honest number either way).
 
-The v6 ``serving`` section replays a zipf request stream through the
-streaming frontend (cached vs uncached), times a delta refresh against a
-full re-embed of the mutated graph, and times the vectorised serving-day
-simulation against its per-impression reference.
+The ``serving`` section replays a zipf request stream through the
+streaming frontend at two slate-cache sizes, times a full re-embed and
+a delta refresh of a mutated graph, and times the vectorised
+serving-day simulation.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from repro.parallel import configure
 from repro.utils.bench import (
     SCHEMA,
     bench_hotpaths,
-    check_report,
     load_report,
-    render_check_table,
     render_report,
     write_report,
 )
+from repro.utils.bench_check import check_report, render_check_table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -65,37 +66,28 @@ def test_hotpath_bench_writes_tracked_report(report):
     for rows in benches.values():
         assert rows
         for row in rows:
-            assert row["before_s"] > 0 and row["after_s"] > 0
+            assert row["wall_s"] > 0
 
-    # v2 counter-derived throughput: present and nonzero on every row of
+    # Counter-derived throughput: present and nonzero on every row of
     # the instrumented hot paths.
     for row in benches["embed_all"]:
         assert row["vertices_per_sec"] > 0
     for row in benches["weighted_sampling"]:
         assert row["samples_per_sec"] > 0
 
-    # The parallel rows ran the pool-backed paths at workers=2.
-    for row in benches["parallel"]:
-        assert row["workers"] == 2
+    # The parallel rows ran the pool-backed paths at workers=1 and 2.
+    assert {row["workers"] for row in benches["parallel"]} == {1, 2}
 
-    # Regression guards, deliberately looser than the typical speedups
-    # (>5x embed_all, >10x sampling here) so noisy CI boxes don't flake.
-    assert benches["embed_all"][-1]["speedup"] > 1.5
-    assert benches["weighted_sampling"][-1]["speedup"] > 2.0
-    assert benches["train_epoch"][-1]["speedup"] > 1.2
-    # Lazy top-k beats ranking the whole table up front.
-    assert benches["score_topk"][-1]["speedup"] > 1.0
-
-    # v6 serving section: one row per streaming-stack hot path, with the
-    # load-bench extras on the replay row.  No speedups asserted (cache
-    # wins depend on the zipf draw and host), only that the numbers are
-    # recorded and sane.
-    variants = {row["variant"] for row in benches["serving"]}
-    assert variants == {"replay", "delta_refresh", "run_day"}
-    replay = next(r for r in benches["serving"] if r["variant"] == "replay")
-    assert replay["req_per_sec"] > 0
-    assert 0.0 <= replay["hit_rate"] <= 1.0
-    assert replay["p99_ms"] >= replay["p50_ms"] >= 0.0
+    # Serving section: one row per streaming-stack hot path, with the
+    # load-bench extras on the replay rows.  Only that the numbers are
+    # recorded and sane is asserted (cache wins depend on the zipf draw
+    # and host).
+    variants = [row["variant"] for row in benches["serving"]]
+    assert variants == ["replay", "replay", "full_embed", "delta_refresh", "run_day"]
+    for replay in benches["serving"][:2]:
+        assert replay["req_per_sec"] > 0
+        assert 0.0 <= replay["hit_rate"] <= 1.0
+        assert replay["p99_ms"] >= replay["p50_ms"] >= 0.0
     refresh = next(
         r for r in benches["serving"] if r["variant"] == "delta_refresh"
     )

@@ -99,14 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="baseline report for --check (default: the --out path)",
     )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="fractional slowdown tolerated by --check before a row "
-        "counts as a regression (default 0.5 = 50%%)",
-    )
     _obs_flags(bench)
     _workers_flag(bench)
     _logging_flags(bench)
@@ -397,12 +389,11 @@ def cmd_ab(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.utils.bench import (
         bench_hotpaths,
-        check_report,
         load_report,
-        render_check_table,
         render_report,
         write_report,
     )
+    from repro.utils.bench_check import check_report, render_check_table
 
     # The parallel section compares serial vs N workers; default the
     # comparison to 4 when the global --workers was left at 1.
@@ -418,12 +409,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         args.mode, seed=args.seed, repeats=args.repeats, workers=workers
     )
     if getattr(args, "check", False):
-        tolerance = args.tolerance
-        result = (
-            check_report(report, baseline)
-            if tolerance is None
-            else check_report(report, baseline, tolerance=tolerance)
-        )
+        result = check_report(report, baseline)
         print(render_check_table(result))
         if result["regressions"]:
             print(

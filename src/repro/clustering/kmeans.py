@@ -298,28 +298,6 @@ def _minibatch(
     return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iter=n_batches)
 
 
-def _minibatch_loop(
-    points: np.ndarray,
-    n_clusters: int,
-    config: KMeansConfig,
-    rng: np.random.Generator,
-) -> KMeansResult:
-    """Per-point reference implementation (equivalence tests + bench)."""
-    centers = kmeans_plus_plus(points, n_clusters, rng)
-    counts = np.zeros(n_clusters)
-    n_batches = max(1, config.max_iter)
-    for _ in range(n_batches):
-        batch_idx = rng.integers(len(points), size=min(config.batch_size, len(points)))
-        batch = points[batch_idx]
-        labels, _ = assign_to_centers(batch, centers)
-        for label, point in zip(labels, batch):
-            counts[label] += 1.0
-            eta = 1.0 / counts[label]
-            centers[label] = (1.0 - eta) * centers[label] + eta * point
-    labels, inertia = assign_to_centers(points, centers)
-    return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iter=n_batches)
-
-
 def _single_pass(
     points: np.ndarray,
     n_clusters: int,
@@ -334,7 +312,8 @@ def _single_pass(
     assigned ``chunk_size`` at a time against the chunk-start centres so
     the distance computation is one matrix product per chunk instead of
     one row per point.  ``chunk_size=1`` reproduces the fully sequential
-    reference bit-for-bit.
+    per-point loop bit-for-bit (the test oracle
+    ``tests/clustering/kmeans_oracle.py``).
     """
     centers = kmeans_plus_plus(points, n_clusters, rng)
     counts = np.ones(n_clusters)  # seeds count as one observation
@@ -344,22 +323,6 @@ def _single_pass(
         labels, _ = assign_to_centers(chunk, centers)
         _running_mean_update(centers, counts, chunk, labels)
     labels, inertia = assign_to_centers(points, centers, pool)
-    return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iter=1)
-
-
-def _single_pass_loop(
-    points: np.ndarray, n_clusters: int, rng: np.random.Generator
-) -> KMeansResult:
-    """Per-point reference implementation (equivalence tests + bench)."""
-    centers = kmeans_plus_plus(points, n_clusters, rng)
-    counts = np.ones(n_clusters)  # seeds count as one observation
-    order = rng.permutation(len(points))
-    for idx in order:
-        point = points[idx]
-        label = int(_sq_dist_to_many(point, centers).argmin())
-        counts[label] += 1.0
-        centers[label] += (point - centers[label]) / counts[label]
-    labels, inertia = assign_to_centers(points, centers)
     return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iter=1)
 
 
@@ -388,11 +351,6 @@ def _recompute_centers(
 
 def _sq_dist_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     diff = points - center
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _sq_dist_to_many(point: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = centers - point
     return np.einsum("ij,ij->i", diff, diff)
 
 

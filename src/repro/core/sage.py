@@ -21,8 +21,8 @@ cf. Cascade-BGNN's redundancy elimination):
   embedded once and its rows are read back through the inverse index.
   Popular vertices appear many times in a ``K_1 x K_2`` frontier, so
   this cuts forward *and* backward FLOPs superlinearly with graph skew.
-  The naive recursion is retained (``dedup=False``) as the reference for
-  equivalence tests and the hot-path benchmark.
+  The naive per-occurrence recursion it replaced lives on only as a
+  test oracle (``tests/core/sage_oracle.py``).
 * **Layer-wise full-graph inference** — :meth:`embed_all` computes the
   step-``p`` matrices for *all* vertices from the cached step-``p-1``
   matrices, one pass per step, instead of re-expanding the whole
@@ -487,9 +487,6 @@ class BipartiteGraphSAGE(Module):
         # One NeighborSampler per graph, built lazily on first use —
         # the recursion previously rebuilt a sampler at every step.
         self._sampler_cache: tuple[BipartiteGraph, NeighborSampler] | None = None
-        # Frontier deduplication toggle; the benchmark harness flips it
-        # off to time the naive recursion.
-        self.dedup_frontier = True
 
     # ------------------------------------------------------------------
     # Embedding computation
@@ -569,26 +566,14 @@ class BipartiteGraphSAGE(Module):
         return self.item_transform[step - 1], self.item_weight[step - 1]
 
     def _embed(
-        self,
-        graph: BipartiteGraph,
-        ids: np.ndarray,
-        step: int,
-        side: str,
-        dedup: bool | None = None,
+        self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str
     ) -> Tensor:
         """h^step for ``ids`` on ``side``; -1 ids produce zero rows.
 
-        The default path embeds each *unique* id once and scatters rows
-        back through the inverse index; ``dedup=False`` selects the
-        naive per-occurrence recursion (reference implementation).
+        Embeds each *unique* id once and scatters rows back through the
+        inverse index.
         """
-        if dedup is None:
-            dedup = self.dedup_frontier
         ids = np.asarray(ids)
-        if not dedup:
-            counter_add("sage.vertices_embedded", len(ids))
-            observe("sage.frontier_size", len(ids))
-            return self._embed_naive(graph, ids, step, side)
         mask = ids >= 0
         unique, inverse = np.unique(np.where(mask, ids, 0), return_inverse=True)
         counter_add("sage.vertices_embedded", len(unique))
@@ -639,36 +624,6 @@ class BipartiteGraphSAGE(Module):
             cfg.activation,
             cfg.aggregator,
         )
-
-    def _embed_naive(
-        self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str
-    ) -> Tensor:
-        """Reference recursion: every frontier occurrence embedded anew."""
-        mask = ids >= 0
-        safe = np.where(mask, ids, 0)
-
-        if step == 0:
-            base = self._features(graph, side)[safe].copy()
-            base[~mask] = 0.0
-            return Tensor(base)
-
-        own_prev = self._embed_naive(graph, ids, step - 1, side)
-        neigh = self._sample(graph, safe, step, side)
-        neigh[~mask] = -1
-        other = self._embed_naive(graph, neigh.reshape(-1), step - 1, _OTHER[side])
-        cfg = self.config
-        out = sage_step(
-            own_prev,
-            other,
-            np.arange(neigh.size).reshape(neigh.shape),
-            neigh >= 0,
-            *self._step_modules(step, side),
-            cfg.activation,
-            cfg.aggregator,
-        )
-        if not mask.all():
-            out = out * mask[:, None].astype(float)
-        return out
 
     # ------------------------------------------------------------------
     # Layer-wise inference engine

@@ -97,9 +97,10 @@ class NeighborSampler:
         """Weighted draws via batched ``searchsorted`` (no per-row loop).
 
         One ``rng.random`` call covers every non-isolated row (the same
-        draw sequence the per-row loop consumed), and one searchsorted
-        over the global cumulative-weight array inverts all CDFs at
-        once.  Per-row positions follow by subtracting the row offsets.
+        draw sequence a per-row loop consumes — the test oracle in
+        ``tests/graph/sampler_oracle.py``), and one searchsorted over the
+        global cumulative-weight array inverts all CDFs at once.  Per-row
+        positions follow by subtracting the row offsets.
         """
         cum = self._user_cum if side == "user" else self._item_cum
         out = np.full((len(vertices), fanout), -1, dtype=np.int64)
@@ -115,39 +116,6 @@ class NeighborSampler:
         picks = np.clip(picks, 0, (a_degrees - 1)[:, None])
         out[active] = csr.indices[a_starts[:, None] + picks]
         return out
-
-    def _sample_weighted_loop(
-        self,
-        csr,
-        vertices: np.ndarray,
-        starts: np.ndarray,
-        degrees: np.ndarray,
-        fanout: int,
-        side: str,
-    ) -> np.ndarray:
-        """Per-row reference implementation (equivalence tests + bench)."""
-        cum = self._user_cum if side == "user" else self._item_cum
-        out = np.full((len(vertices), fanout), -1, dtype=np.int64)
-        for row, (start, deg) in enumerate(zip(starts, degrees)):
-            if deg == 0:
-                continue
-            base = cum[start - 1] if start > 0 else 0.0
-            slice_cum = cum[start : start + deg] - base
-            total = slice_cum[-1]
-            draws = self.rng.random(fanout) * total
-            picks = np.searchsorted(slice_cum, draws, side="right")
-            out[row] = csr.indices[start + np.minimum(picks, deg - 1)]
-        return out
-
-    def _sample_reference(self, vertices: np.ndarray, fanout: int, side: str) -> np.ndarray:
-        """Mirror of :meth:`_sample` routed through the per-row loop."""
-        if not self.weighted:
-            raise RuntimeError("_sample_reference is only defined for weighted samplers")
-        vertices = np.asarray(vertices, dtype=np.int64)
-        csr = self.graph._user_csr if side == "user" else self.graph._item_csr
-        starts = csr.indptr[vertices]
-        degrees = csr.indptr[vertices + 1] - starts
-        return self._sample_weighted_loop(csr, vertices, starts, degrees, fanout, side)
 
 
 class NegativeSampler:

@@ -92,11 +92,11 @@ class OnlineEnvironment:
         vector (over the clicked items only) against the purchase
         oracle.  Seeded runs are reproducible, but the RNG stream is two
         ``rng.random(n)`` calls per slate — it intentionally differs
-        from the retained per-impression reference
-        (:meth:`_run_day_loop`), which draws scalars interleaved
-        click/purchase per item.  The two are distributionally
-        identical: each impression still consumes an independent uniform
-        per Bernoulli decision.
+        from a per-impression loop drawing scalars interleaved
+        click/purchase per item (the test oracle
+        ``tests/serving/environment_oracle.py``).  The two are
+        distributionally identical: each impression still consumes an
+        independent uniform per Bernoulli decision.
         """
         if slate_size < 1:
             raise ValueError("slate_size must be >= 1")
@@ -123,44 +123,6 @@ class OnlineEnvironment:
                     < self.truth.purchase_probabilities(user, slate[clicked])
                 )
                 transactions += int(bought.sum())
-        return ServingMetrics(
-            visitors=len(visitors),
-            impressions=impressions,
-            clicks=clicks,
-            transactions=transactions,
-            unique_click_visitors=len(clicked_visitors),
-        )
-
-    def _run_day_loop(
-        self,
-        recommender: Recommender,
-        visitors: np.ndarray,
-        slate_size: int = 10,
-    ) -> ServingMetrics:
-        """Per-impression reference implementation (pre-vectorisation).
-
-        Retained for equivalence-in-distribution tests and the serving
-        benchmark's before/after pair.  Draws one scalar uniform per
-        impression and, on click, one more for the purchase — the
-        original interleaved stream.
-        """
-        if slate_size < 1:
-            raise ValueError("slate_size must be >= 1")
-        impressions = 0
-        clicks = 0
-        transactions = 0
-        clicked_visitors: set[int] = set()
-        for user in visitors:
-            user = int(user)
-            slate = recommender.recommend(user, slate_size)
-            for item in slate:
-                item = int(item)
-                impressions += 1
-                if self.rng.random() < self.truth.click_probability(user, item):
-                    clicks += 1
-                    clicked_visitors.add(user)
-                    if self.rng.random() < self.truth.purchase_probability(user, item):
-                        transactions += 1
         return ServingMetrics(
             visitors=len(visitors),
             impressions=impressions,

@@ -32,6 +32,7 @@ whole repo (lint rule RPR205 flags raw ``np.memmap`` elsewhere).
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -88,13 +89,22 @@ def open_block(
     """A memmap over ``path`` (``mode`` "r" or "r+"), or an empty array.
 
     Zero-element blocks are legal in the format (empty shards) but not
-    for ``mmap``, so they come back as ordinary empty arrays.
+    for ``mmap``, so they come back as ordinary empty arrays.  A file
+    whose size is not exactly ``shape`` items (a truncated or padded
+    block) raises ``ValueError`` naming the file and both byte counts.
     """
     if mode not in {"r", "r+"}:
         raise ValueError(f"open_block mode must be 'r' or 'r+', got {mode!r}")
     count = int(np.prod(shape))
     if count == 0:
         return np.empty(shape, dtype=dtype)
+    expected = count * np.dtype(dtype).itemsize
+    actual = os.path.getsize(path)
+    if actual != expected:
+        raise ValueError(
+            f"block {path} holds {actual} bytes, expected {expected} "
+            f"for shape {tuple(shape)}"
+        )
     return np.memmap(str(path), dtype=dtype, mode=mode, shape=tuple(shape))
 
 
@@ -588,7 +598,25 @@ def _write_manifest(
         "shards": shards,
     }
     # The manifest is written last: its presence marks a complete store.
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    # Write it to a temp file, make it durable, rename it into place and
+    # make the rename durable, so a crash never leaves a torn manifest
+    # behind.  ``os.open`` applies the umask as the block files get it.
+    tmp = path / f".{MANIFEST_NAME}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path / MANIFEST_NAME)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
     return manifest
 
 

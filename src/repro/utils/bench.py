@@ -1,81 +1,18 @@
 """Hot-path micro-benchmark harness (``BENCH_hotpaths.json``).
 
 The paper's complexity analysis (Section III-D) puts the cost of one
-HiGNN level in three loops: recursive neighbour embedding, neighbour
-sampling, and K-means.  Each of those hot paths now has a
-batch-efficient implementation *and* a retained reference
-implementation, so this harness can report honest before/after numbers:
+HiGNN level in three loops: neighbour embedding, neighbour sampling and
+K-means.  This harness times the live implementation of each, plus the
+paths a HiGNN deployment runs hot around them (training epochs, worker
+pools, sharded inference, top-k serving, streaming refresh).  Each
+report section is one row generator in ``_SECTIONS``.
 
-* ``embed_all`` — every vertex through the naive training recursion
-  (batched ``embed_users``/``embed_items``, ``before``) vs the
-  dedup-frontier recursion (``recursive_dedup``) vs layer-wise
-  full-graph inference (``after``).
-* ``train_epoch`` — one training epoch with the naive recursion vs the
-  dedup frontier (both through the fused SAGE step), on the 1.5k-edge
-  graph and the small 9k-edge graph.
-* ``weighted_sampling`` — per-row cumulative-weight loop vs the batched
-  ``searchsorted`` sampler.
-* ``kmeans`` — per-point single-pass / mini-batch loops vs the chunked
-  vectorised updates.
-
-All workloads are seeded, so repeated runs time identical work; only
-the wall-clock figures vary with the machine.  The JSON report is
-written to the repo root (``BENCH_hotpaths.json``) so the perf
-trajectory is tracked across PRs — see README.md "Performance".
-
-Schema v2 stamps each report with the git commit it was produced at
-(so the BENCH_* trajectory is attributable across PRs) and adds
-counter-derived throughput columns — vertices/sec, samples/sec,
-edges/sec — measured by re-running each "after" workload once under a
-:mod:`repro.obs` session and dividing the observed work counters by the
-best wall time.
-
-Schema v3 adds two sections plus a ``cpu_count`` stamp:
-
-* ``parallel`` — the three pool-backed hot paths (layer-wise
-  ``embed_all``, k-means restarts, ``cvr_score_table``) timed at
-  ``workers=1`` vs ``workers=N``.  Interpret the speedup column against
-  ``cpu_count``: on a single-core box process fan-out cannot beat the
-  in-process path and the honest number is ≤ 1.
-* ``score_topk`` — eager full-table ``argsort`` ranking vs the lazy
-  per-user ``argpartition`` top-k of :class:`ScoreTableRecommender`.
-
-Schema v4 adds the ``shard`` section and two honesty columns on the
-``parallel`` rows (``workers_effective``, ``degraded``) so a speedup of
-≤ 1 on a single-core box is machine-attributable.  The ``shard`` rows
-compare dense in-memory layer-wise inference against the out-of-core
-sharded path over :class:`~repro.shard.storage.ShardedCSR` blocks: an
-in-process smoke world in every mode, plus (``full`` mode only) a
-streamed million-vertex world measured in subprocess children so each
-side's peak RSS is isolated.
-
-Schema v5 adds a top-level ``telemetry`` stamp (the resource-sampler
-interval and where peak-RSS figures come from) and switches the shard
-subprocess rows from ``getrusage`` high-water marks to the background
-:class:`~repro.obs.monitor.ResourceMonitor` time-series measured inside
-each child (``peak_rss_source`` says which).  v5 also introduces the
-regression sentinel: :func:`check_report` compares a fresh run against
-a recorded baseline row-by-row within a fractional tolerance, skipping
-rows the baseline machine cannot reproduce honestly (``degraded``
-hosts, mismatched ``workers_effective``), and
-:func:`render_check_table` renders the per-row delta table that
-``repro bench --check`` prints.
-
-Schema v6 adds the ``serving`` section — the streaming serving stack:
-
-* ``replay`` — a seeded Zipf-ish visitor stream served through
-  :class:`~repro.streaming.frontend.ServingFrontend`, uncached
-  (``before``) vs with the bounded LRU slate cache (``after``), with
-  requests/sec, p50/p99 request latency (from the ``serving.latency_ms``
-  histogram) and the cache hit rate.
-* ``delta_refresh`` — full streaming re-embed of a mutated graph
-  (``before``) vs the delta-aware
-  :meth:`~repro.streaming.refresh.StreamingEmbedder.refresh`
-  (``after``), with the recomputed-row fraction.
-* ``run_day`` — the per-impression serving-day loop (``before``) vs the
-  per-slate vectorised :meth:`OnlineEnvironment.run_day` (``after``).
-
-:func:`load_report` still reads v1–v5 files.
+Every row times exactly one live path in one column, ``wall_s`` (best
+of ``repeats``), and its ``key`` spells out the identity fields that
+tell it apart (``workers`` 1 vs N, ``store`` dense vs sharded,
+``cache_size`` 0 vs 4096, ...).  Workloads are seeded, so only timings
+vary with the machine; :func:`repro.utils.bench_check.check_report`
+matches a fresh run against the committed record by section and ``key``.
 """
 
 from __future__ import annotations
@@ -86,30 +23,15 @@ import platform
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro.obs.monitor import DEFAULT_INTERVAL_S
 from repro.utils.rng import ensure_rng
 
-SCHEMA = "repro/hotpath-bench/v6"
-SCHEMA_V1 = "repro/hotpath-bench/v1"
-SCHEMA_V2 = "repro/hotpath-bench/v2"
-SCHEMA_V3 = "repro/hotpath-bench/v3"
-SCHEMA_V4 = "repro/hotpath-bench/v4"
-SCHEMA_V5 = "repro/hotpath-bench/v5"
+SCHEMA = "repro/hotpath-bench/v7"
 DEFAULT_REPORT = "BENCH_hotpaths.json"
-
-# Fractional slowdown of ``after_s`` tolerated by ``check_report``
-# before a row counts as a regression.  Micro-benchmarks on shared CI
-# hosts jitter hard, so the default band is deliberately wide — the
-# sentinel exists to catch the 2x+ accidents, not 10% noise.
-CHECK_TOLERANCE = 0.5
-# Absolute slack added on top of the fractional band: rows timed in
-# hundreds of microseconds flap on scheduler noise alone, so a delta
-# smaller than this many seconds never regresses regardless of ratio.
-CHECK_MIN_DELTA_S = 0.005
 
 # (num_users, num_items, num_edges) per benchmarked graph.
 GRAPH_SIZES: dict[str, list[tuple[int, int, int]]] = {
@@ -133,64 +55,63 @@ PARALLEL_SCORE_SIZES: dict[str, tuple[int, int, int]] = {
 }
 # Streamed-world specs per ``shard`` row; ``subprocess`` rows measure
 # peak RSS in isolated children (and are the expensive part of ``full``).
+_SMOKE_WORLD = {"users": 4000, "items": 2500, "clusters": 24, "shards": 4,
+                "degree": 6.0}
 SHARD_SIZES: dict[str, list[dict[str, Any]]] = {
-    "quick": [
-        {"users": 4000, "items": 2500, "clusters": 24, "shards": 4, "degree": 6.0}
-    ],
+    "quick": [_SMOKE_WORLD],
     "full": [
-        {"users": 4000, "items": 2500, "clusters": 24, "shards": 4, "degree": 6.0},
-        {
-            "users": 600_000,
-            "items": 400_000,
-            "clusters": 256,
-            "shards": 8,
-            "degree": 8.0,
-            "subprocess": True,
-        },
+        _SMOKE_WORLD,
+        {"users": 600_000, "items": 400_000, "clusters": 256, "shards": 8,
+         "degree": 8.0, "subprocess": True},
     ],
 }
 # Streaming serving workloads: graph shape, replayed request count and
 # slate size, visitor-day size, and the size of the mutation delta the
-# refresh row applies.  ``delta_edges`` is deliberately small — the row
+# refresh rows apply.  ``delta_edges`` is deliberately small — the row
 # times the delta path itself, not a degradation to full recompute.
 SERVING_SIZES: dict[str, dict[str, Any]] = {
-    "quick": {
-        "graph": (600, 400, 3600),
-        "requests": 400,
-        "k": 10,
-        "visitors": 150,
-        "delta_edges": 2,
-        "refresh_batch": 128,
-    },
-    "full": {
-        "graph": (3000, 2000, 18000),
-        "requests": 2000,
-        "k": 10,
-        "visitors": 400,
-        "delta_edges": 2,
-        "refresh_batch": 256,
-    },
+    "quick": {"graph": (600, 400, 3600), "requests": 400, "k": 10,
+              "visitors": 150, "delta_edges": 2, "refresh_batch": 128},
+    "full": {"graph": (3000, 2000, 18000), "requests": 2000, "k": 10,
+             "visitors": 400, "delta_edges": 2, "refresh_batch": 256},
+}
+
+# Work counter -> (count column, rate column, rate unit) of a row.
+_WORK_COLUMNS = {
+    "sage.vertices_embedded": ("vertices_embedded", "vertices_per_sec", "vert/s"),
+    "sampler.samples_drawn": ("samples_drawn", "samples_per_sec", "smp/s"),
+    "train.edges_seen": ("edges_seen", "edges_per_sec", "edge/s"),
+    "serving.requests": ("requests_served", "req_per_sec", "req/s"),
 }
 
 __all__ = [
-    "bench_hotpaths",
-    "write_report",
-    "load_report",
-    "render_report",
-    "check_report",
-    "render_check_table",
-    "git_commit",
-    "SCHEMA",
-    "SCHEMA_V1",
-    "SCHEMA_V2",
-    "SCHEMA_V3",
-    "SCHEMA_V4",
-    "SCHEMA_V5",
-    "DEFAULT_REPORT",
-    "CHECK_TOLERANCE",
-    "CHECK_MIN_DELTA_S",
-    "dense_footprint_mb",
+    "bench_hotpaths", "write_report", "load_report", "render_report",
+    "git_commit", "dense_footprint_mb", "SCHEMA", "DEFAULT_REPORT",
 ]
+
+Rows = Iterator[dict[str, Any]]
+
+
+def _warm_up() -> None:
+    """Take two start-up effects off the first timed rows.
+
+    glibc raises its mmap threshold to each large block freed; with no
+    large free behind it a 30k-edge ``embed_all`` page-faults on fresh
+    mmaps, 1.5-4x slower.  On a 2-vCPU VM the first second of threaded
+    BLAS work after an idle spell ran on one core, 4x slower.  So: free
+    a 16 MB block, then run matmuls until CPU time outpaces wall time
+    (the idle core is awake) or 1.5 s pass (BLAS runs one thread).
+    """
+    block = np.empty(16 << 20, dtype=np.uint8)
+    del block
+    a = np.ones((300, 300))
+    deadline = time.perf_counter() + 1.5
+    while time.perf_counter() < deadline:
+        wall, cpu = time.perf_counter(), time.process_time()
+        for _ in range(10):
+            a @ a
+        if time.process_time() - cpu > 1.5 * (time.perf_counter() - wall):
+            return
 
 
 def _best_of(fn: Callable[[], Any], repeats: int) -> float:
@@ -203,15 +124,55 @@ def _best_of(fn: Callable[[], Any], repeats: int) -> float:
     return best
 
 
+def _key(identity: dict[str, Any]) -> str:
+    """A row's ``key``: its identity fields in order, ``graph`` abridged."""
+    parts = []
+    for field, value in identity.items():
+        if field == "graph":
+            value = f"{value['num_users']}x{value['num_items']}e{value['num_edges']}"
+        parts.append(f"{field}={value}")
+    return " ".join(parts)
+
+
+def _row(
+    identity: dict[str, Any],
+    fn: Callable[[], Any],
+    repeats: int,
+    counter: str | None = None,
+    extras: Callable[[Any], dict[str, Any]] | None = None,
+) -> dict[str, Any]:
+    """One row: ``identity``, its ``key`` and best-of-``repeats`` ``wall_s``.
+
+    With a ``counter`` (a key of ``_WORK_COLUMNS``) or ``extras``, ``fn``
+    runs once more under an obs session — separate from the timed runs,
+    so instrumentation never perturbs them.  The row gains the counted
+    work and its rate per ``wall_s`` second, and ``extras(session)``
+    adds any further measured columns.
+    """
+    from repro import obs
+
+    wall = _best_of(fn, repeats)
+    row = {**identity, "key": _key(identity), "wall_s": round(wall, 6)}
+    if counter is None and extras is None:
+        return row
+    with obs.observe() as session:
+        fn()
+    if counter is not None:
+        count_col, rate_col, _ = _WORK_COLUMNS[counter]
+        work = session.counter(counter)
+        row[count_col] = int(work)
+        row[rate_col] = round(work / wall, 1)
+    if extras is not None:
+        row.update(extras(session))
+    return row
+
+
 def git_commit() -> str | None:
     """The current commit hash, or None outside a git checkout."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=Path(__file__).resolve().parent,
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            timeout=10, cwd=Path(__file__).resolve().parent,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
@@ -219,249 +180,104 @@ def git_commit() -> str | None:
     return commit if out.returncode == 0 and commit else None
 
 
-def _counter_during(fn: Callable[[], Any], name: str) -> float:
-    """Run ``fn`` once under an obs session; return counter ``name``.
-
-    Used to derive throughput honestly: the counted run is separate
-    from the timed runs, so instrumentation never perturbs the timings,
-    while the work counts themselves are deterministic per workload.
-    """
-    from repro import obs
-
-    with obs.observe() as session:
-        fn()
-    return session.counter(name)
-
-
 def _graph(size: tuple[int, int, int], feature_dim: int, seed: int):
     from repro.graph.generators import random_bipartite
 
-    users, items, edges = size
-    return random_bipartite(users, items, edges, feature_dim=feature_dim, rng=seed)
+    return random_bipartite(*size, feature_dim=feature_dim, rng=seed)
 
 
-def _graph_meta(size: tuple[int, int, int]) -> dict[str, int]:
-    return {"num_users": size[0], "num_items": size[1], "num_edges": size[2]}
+def _graph_meta(graph) -> dict[str, int]:
+    return {"num_users": graph.num_users, "num_items": graph.num_items,
+            "num_edges": graph.num_edges}
 
 
-def _sage_module(graph, seed: int):
+def _sage_module(dim: int, seed: int, fanouts: tuple[int, ...] = (10, 5)):
+    """A 16-dim SAGE model over ``dim``-dim features on both sides."""
     from repro.core.sage import BipartiteGraphSAGE
     from repro.utils.config import SageConfig
 
-    cfg = SageConfig(embedding_dim=16, neighbor_samples=(10, 5))
-    return BipartiteGraphSAGE(
-        graph.user_features.shape[1], graph.item_features.shape[1], cfg, rng=seed
-    )
+    cfg = SageConfig(embedding_dim=16, neighbor_samples=fanouts)
+    return BipartiteGraphSAGE(dim, dim, cfg, rng=seed)
 
 
-def _bench_embed_all(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
-    from repro.nn.tensor import no_grad
-
-    rows = []
+def _bench_embed_all(mode: str, seed: int, repeats: int, workers: int) -> Rows:
     for size in GRAPH_SIZES[mode]:
-        graph = _graph(size, feature_dim=8, seed=seed)
-        module = _sage_module(graph, seed)
-
-        def recursive(dedup: bool) -> None:
-            # Every vertex through the training recursion, in embed_all's
-            # default 2048-vertex batches, without building a tape.
-            module.dedup_frontier = dedup
-            try:
-                with no_grad():
-                    for n, embed in (
-                        (graph.num_users, module.embed_users),
-                        (graph.num_items, module.embed_items),
-                    ):
-                        for start in range(0, n, 2048):
-                            embed(graph, np.arange(start, min(start + 2048, n)))
-            finally:
-                module.dedup_frontier = True
-
-        before = _best_of(lambda: recursive(False), repeats)
-        dedup = _best_of(lambda: recursive(True), repeats)
-        after = _best_of(lambda: module.embed_all(graph), repeats)
-        vertices = _counter_during(
-            lambda: module.embed_all(graph), "sage.vertices_embedded"
-        )
-        rows.append(
-            {
-                "graph": _graph_meta(size),
-                "before_s": round(before, 6),
-                "recursive_dedup_s": round(dedup, 6),
-                "after_s": round(after, 6),
-                "speedup": round(before / after, 2),
-                "vertices_embedded": int(vertices),
-                "vertices_per_sec": round(vertices / after, 1),
-            }
-        )
-    return rows
+        graph = _graph(size, 8, seed)
+        module = _sage_module(8, seed)
+        yield _row({"graph": _graph_meta(graph)}, lambda: module.embed_all(graph),
+                   repeats, "sage.vertices_embedded")
 
 
-def _bench_train_epoch(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
+def _bench_train_epoch(mode: str, seed: int, repeats: int, workers: int) -> Rows:
     from repro.core.trainer import SageTrainer
     from repro.utils.config import TrainConfig
 
     tcfg = TrainConfig(epochs=1, batch_size=512)
-    rows = []
     # The 1.5k-edge graph and the small 9k-edge one; both modes share
     # them, so ``bench --check`` diffs each row against the record.
     for size in GRAPH_SIZES[mode][:2]:
-        graph = _graph(size, feature_dim=8, seed=seed)
+        graph = _graph(size, 8, seed)
+        identity = {"graph": _graph_meta(graph), "epochs": tcfg.epochs,
+                    "batch_size": tcfg.batch_size}
 
-        def run(dedup: bool) -> None:
-            module = _sage_module(graph, seed)
-            module.dedup_frontier = dedup
-            SageTrainer(module, graph, tcfg, rng=seed).fit()
+        def fit() -> None:
+            SageTrainer(_sage_module(8, seed), graph, tcfg, rng=seed).fit()
 
-        before = _best_of(lambda: run(False), repeats)
-        after = _best_of(lambda: run(True), repeats)
-        edges = _counter_during(lambda: run(True), "train.edges_seen")
-        rows.append(
-            {
-                "graph": _graph_meta(size),
-                "epochs": tcfg.epochs,
-                "batch_size": tcfg.batch_size,
-                "before_s": round(before, 6),
-                "after_s": round(after, 6),
-                "speedup": round(before / after, 2),
-                "edges_seen": int(edges),
-                "edges_per_sec": round(edges / after, 1),
-            }
-        )
-    return rows
+        yield _row(identity, fit, repeats, "train.edges_seen")
 
 
-def _bench_weighted_sampling(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
+def _bench_weighted_sampling(mode: str, seed: int, repeats: int,
+                             workers: int) -> Rows:
     from repro.graph.sampling import NeighborSampler
 
-    rows = []
     fanout = 10
     for size in GRAPH_SIZES[mode]:
-        graph = _graph(size, feature_dim=4, seed=seed)
+        graph = _graph(size, 4, seed)
         vertices = np.arange(graph.num_users)
         sampler = NeighborSampler(graph, rng=seed, weighted=True)
-        before = _best_of(
-            lambda: sampler._sample_reference(vertices, fanout, "user"), repeats
-        )
-        after = _best_of(
-            lambda: sampler.sample_items_for_users(vertices, fanout), repeats
-        )
-        samples = _counter_during(
-            lambda: sampler.sample_items_for_users(vertices, fanout),
-            "sampler.samples_drawn",
-        )
-        rows.append(
-            {
-                "graph": _graph_meta(size),
-                "batch": int(len(vertices)),
-                "fanout": fanout,
-                "before_s": round(before, 6),
-                "after_s": round(after, 6),
-                "speedup": round(before / after, 2),
-                "samples_drawn": int(samples),
-                "samples_per_sec": round(samples / after, 1),
-            }
-        )
-    return rows
+        identity = {"graph": _graph_meta(graph), "batch": len(vertices),
+                    "fanout": fanout}
+        yield _row(identity, lambda: sampler.sample_items_for_users(vertices, fanout),
+                   repeats, "sampler.samples_drawn")
 
 
-def _bench_kmeans(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
-    from repro.clustering.kmeans import (
-        _minibatch,
-        _minibatch_loop,
-        _single_pass,
-        _single_pass_loop,
-    )
+def _bench_kmeans(mode: str, seed: int, repeats: int, workers: int) -> Rows:
+    from repro.clustering.kmeans import _minibatch, _single_pass
     from repro.utils.config import KMeansConfig
 
-    rows = []
+    cfg = KMeansConfig(algorithm="minibatch", max_iter=20, batch_size=256)
     for n, dim, k in KMEANS_SIZES[mode]:
         points = ensure_rng(seed).normal(size=(n, dim))
-        single_before = _best_of(
-            lambda: _single_pass_loop(points, k, ensure_rng(seed)), repeats
-        )
-        single_after = _best_of(
-            lambda: _single_pass(points, k, ensure_rng(seed)), repeats
-        )
-        rows.append(
-            {
-                "variant": "single_pass",
-                "n": n,
-                "dim": dim,
-                "k": k,
-                "before_s": round(single_before, 6),
-                "after_s": round(single_after, 6),
-                "speedup": round(single_before / single_after, 2),
-            }
-        )
-        cfg = KMeansConfig(algorithm="minibatch", max_iter=20, batch_size=256)
-        mb_before = _best_of(
-            lambda: _minibatch_loop(points, k, cfg, ensure_rng(seed)), repeats
-        )
-        mb_after = _best_of(
-            lambda: _minibatch(points, k, cfg, ensure_rng(seed)), repeats
-        )
-        rows.append(
-            {
-                "variant": "minibatch",
-                "n": n,
-                "dim": dim,
-                "k": k,
-                "before_s": round(mb_before, 6),
-                "after_s": round(mb_after, 6),
-                "speedup": round(mb_before / mb_after, 2),
-            }
-        )
-    return rows
+        yield _row({"variant": "single_pass", "n": n, "dim": dim, "k": k},
+                   lambda: _single_pass(points, k, ensure_rng(seed)), repeats)
+        yield _row({"variant": "minibatch", "n": n, "dim": dim, "k": k},
+                   lambda: _minibatch(points, k, cfg, ensure_rng(seed)), repeats)
 
 
-def _bench_score_topk(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
-    """Eager full-table ranking vs the lazy per-user top-k recommender."""
+def _bench_score_topk(mode: str, seed: int, repeats: int, workers: int) -> Rows:
     from repro.serving.recommend import ScoreTableRecommender
 
-    rows = []
     for num_users, n_cand, k, n_queries in SCORE_SIZES[mode]:
         rng = ensure_rng(seed)
         scores = rng.random((num_users, n_cand))
         candidates = np.arange(n_cand, dtype=np.int64)
         query_users = rng.integers(0, num_users, size=n_queries)
 
-        def run_eager() -> None:
-            ranked = np.argsort(-scores, axis=1, kind="mergesort")
-            for user in query_users:
-                candidates[ranked[user, :k]]
-
-        def run_lazy() -> None:
+        def run() -> None:
             recommender = ScoreTableRecommender(scores, candidates)
             for user in query_users:
                 recommender.recommend(int(user), k)
 
-        before = _best_of(run_eager, repeats)
-        after = _best_of(run_lazy, repeats)
-        rows.append(
-            {
-                "variant": "score_topk",
-                "n": num_users,
-                "candidates": n_cand,
-                "k": k,
-                "queries": int(n_queries),
-                "before_s": round(before, 6),
-                "after_s": round(after, 6),
-                "speedup": round(before / after, 2),
-            }
-        )
-    return rows
+        yield _row({"variant": "score_topk", "n": num_users, "candidates": n_cand,
+                    "k": k, "queries": n_queries}, run, repeats)
 
 
-def _bench_parallel(
-    mode: str, seed: int, repeats: int, workers: int
-) -> list[dict[str, Any]]:
-    """The pool-backed hot paths at ``workers=1`` vs ``workers=N``.
+def _bench_parallel(mode: str, seed: int, repeats: int, workers: int) -> Rows:
+    """The pool-backed hot paths, one row at ``workers=1`` and one at N.
 
-    Same seeded workload both times — the outputs are bitwise equal by
-    design, so the rows compare cost only.  On machines where
-    ``os.cpu_count()`` is 1 the parallel row is expected to be *slower*
-    (IPC with no extra cores); the report records it honestly.
+    Outputs are bitwise equal at any worker count, so the rows compare
+    cost only.  On a single-core host fan-out can only add IPC, and the
+    rows say so with ``degraded``.
     """
     from repro.clustering.kmeans import kmeans
     from repro.prediction.cvr_model import CVRModel
@@ -470,98 +286,38 @@ def _bench_parallel(
     from repro.utils.config import KMeansConfig
 
     cpu_count = os.cpu_count() or 1
-    workers_effective = min(workers, cpu_count)
-    degraded = cpu_count == 1
-    rows = []
-
-    size = GRAPH_SIZES[mode][-1]
-    graph = _graph(size, feature_dim=8, seed=seed)
-    module = _sage_module(graph, seed)
-    serial = _best_of(
-        lambda: module.embed_all(graph, batch_size=256, workers=1), repeats
-    )
-    parallel = _best_of(
-        lambda: module.embed_all(graph, batch_size=256, workers=workers), repeats
-    )
-    rows.append(
-        {
-            "variant": "embed_all_layerwise",
-            "graph": _graph_meta(size),
-            "workers": workers,
-            "workers_effective": workers_effective,
-            "degraded": degraded,
-            "before_s": round(serial, 6),
-            "after_s": round(parallel, 6),
-            "speedup": round(serial / parallel, 2),
-        }
-    )
-
+    graph = _graph(GRAPH_SIZES[mode][-1], 8, seed)
+    module = _sage_module(8, seed)
     n, dim, k = KMEANS_SIZES[mode][-1]
     points = ensure_rng(seed).normal(size=(n, dim))
-    cfg = KMeansConfig(algorithm="lloyd", n_init=4, max_iter=15)
-    serial = _best_of(
-        lambda: kmeans(points, k, cfg, rng=ensure_rng(seed), workers=1),
-        repeats,
-    )
-    parallel = _best_of(
-        lambda: kmeans(points, k, cfg, rng=ensure_rng(seed), workers=workers),
-        repeats,
-    )
-    rows.append(
-        {
-            "variant": "kmeans_restarts",
-            "n": n,
-            "dim": dim,
-            "k": k,
-            "n_init": cfg.n_init,
-            "workers": workers,
-            "workers_effective": workers_effective,
-            "degraded": degraded,
-            "before_s": round(serial, 6),
-            "after_s": round(parallel, 6),
-            "speedup": round(serial / parallel, 2),
-        }
-    )
-
+    kcfg = KMeansConfig(algorithm="lloyd", n_init=4, max_iter=15)
     num_users, n_cand, batch_users = PARALLEL_SCORE_SIZES[mode]
     rng = ensure_rng(seed)
-    assembler = FeatureAssembler(
-        rng.normal(size=(num_users, 8)), rng.normal(size=(n_cand, 8))
-    )
+    assembler = FeatureAssembler(rng.normal(size=(num_users, 8)),
+                                 rng.normal(size=(n_cand, 8)))
     model = CVRModel(assembler.feature_dim, hidden=(32, 16), rng=seed)
     candidates = np.arange(n_cand, dtype=np.int64)
-    serial = _best_of(
-        lambda: cvr_score_table(
-            model, assembler, num_users, candidates, batch_users, workers=1
-        ),
-        repeats,
-    )
-    parallel = _best_of(
-        lambda: cvr_score_table(
-            model, assembler, num_users, candidates, batch_users, workers=workers
-        ),
-        repeats,
-    )
-    rows.append(
-        {
-            "variant": "cvr_score_table",
-            "n": num_users,
-            "candidates": n_cand,
-            "k": n_cand,
-            "workers": workers,
-            "workers_effective": workers_effective,
-            "degraded": degraded,
-            "before_s": round(serial, 6),
-            "after_s": round(parallel, 6),
-            "speedup": round(serial / parallel, 2),
-        }
-    )
-    return rows
+
+    paths = [
+        ({"variant": "embed_all_layerwise", "graph": _graph_meta(graph)},
+         lambda w: module.embed_all(graph, batch_size=256, workers=w)),
+        ({"variant": "kmeans_restarts", "n": n, "dim": dim, "k": k,
+          "n_init": kcfg.n_init},
+         lambda w: kmeans(points, k, kcfg, rng=ensure_rng(seed), workers=w)),
+        ({"variant": "cvr_score_table", "n": num_users, "candidates": n_cand,
+          "k": n_cand},
+         lambda w: cvr_score_table(
+             model, assembler, num_users, candidates, batch_users, workers=w)),
+    ]
+    for identity, run in paths:
+        for w in sorted({1, workers}):
+            row = _row({**identity, "workers": w}, lambda: run(w), repeats)
+            row.update(workers_effective=min(w, cpu_count), degraded=cpu_count == 1)
+            yield row
 
 
-def dense_footprint_mb(
-    num_users: int, num_items: int, num_edges: int, dim: int
-) -> float:
+def dense_footprint_mb(num_users: int, num_items: int, num_edges: int,
+                       dim: int) -> float:
     """Analytic MB an in-memory ``BipartiteGraph`` of this shape holds.
 
     Edge list (E x 2 int64) + both CSR directions (indices + weights
@@ -572,14 +328,6 @@ def dense_footprint_mb(
     csr = 2 * num_edges * (8 + 8) + (num_users + num_items + 2) * 8
     features = (num_users + num_items) * dim * 8
     return (edge_list + csr + features) / 2**20
-
-
-def _shard_model(dim: int, seed: int):
-    from repro.core.sage import BipartiteGraphSAGE
-    from repro.utils.config import SageConfig
-
-    cfg = SageConfig(embedding_dim=dim, neighbor_samples=(5, 3))
-    return BipartiteGraphSAGE(dim, dim, cfg, rng=seed)
 
 
 def _run_shard_child(run_mode: str, spec: dict[str, Any], seed: int, workers: int):
@@ -593,166 +341,107 @@ def _run_shard_child(run_mode: str, spec: dict[str, Any], seed: int, workers: in
 
     import repro
 
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "shard",
-        "--json",
-        "--mode",
-        run_mode,
-        "--users",
-        str(spec["users"]),
-        "--items",
-        str(spec["items"]),
-        "--clusters",
-        str(spec["clusters"]),
-        "--shards",
-        str(spec["shards"]),
-        "--mean-degree",
-        str(spec["degree"]),
-        "--seed",
-        str(seed),
-        "--workers",
-        str(workers),
-    ]
+    cmd = [sys.executable, "-m", "repro.cli", "shard", "--json", "--mode", run_mode,
+           "--seed", str(seed), "--workers", str(workers)]
+    for key in ("users", "items", "clusters", "shards"):
+        cmd += [f"--{key}", str(spec[key])]
+    cmd += ["--mean-degree", str(spec["degree"])]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1]) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    out = subprocess.run(
-        cmd, capture_output=True, text=True, env=env, timeout=3600
-    )
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=3600)
     if out.returncode != 0:
         raise RuntimeError(f"shard child ({run_mode}) failed:\n{out.stderr}")
     return json.loads(out.stdout)
 
 
-def _bench_shard(
-    mode: str, seed: int, repeats: int, workers: int
-) -> list[dict[str, Any]]:
-    """Dense in-memory inference vs the out-of-core sharded path.
+def _shard_child_rows(spec: dict[str, Any], seed: int, workers: int) -> Rows:
+    """The streamed world embedded dense and sharded, one child each.
 
-    The smoke row runs in-process (same world via ``to_graph``, bitwise
-    compared).  ``subprocess`` rows stream a million-vertex world and
-    measure each side's peak RSS in an isolated child; equality there is
-    checked through embedding checksums.
+    Equality is checked through embedding checksums: comparing arrays
+    in one process would defeat the per-side peak-RSS measurement.
+    """
+    children = {store: _run_shard_child(store, spec, seed, workers)
+                for store in ("sharded", "dense")}
+    num_edges = children["sharded"]["num_edges"]
+    for store in ("dense", "sharded"):
+        child = children[store]
+        identity = {"variant": "streamed_world",
+                    "graph": {"num_users": spec["users"], "num_items": spec["items"],
+                              "num_edges": num_edges},
+                    "num_shards": spec["shards"], "store": store, "workers": workers}
+        row = {**identity, "key": _key(identity), "wall_s": child["embed_s"],
+               **{col: child[col]
+                  for col in ("build_s", "peak_rss_mb", "peak_rss_source")}}
+        if store == "dense":
+            footprint = dense_footprint_mb(spec["users"], spec["items"], num_edges, 16)
+            row["dense_edge_list_mb"] = round(footprint, 1)
+        else:
+            row["edges_shard_local"] = child["edges_shard_local"]
+            row["bitwise_equal"] = child["checksum"] == children["dense"]["checksum"]
+        yield row
+
+
+def _bench_shard(mode: str, seed: int, repeats: int, workers: int) -> Rows:
+    """Layer-wise inference over a dense graph and a sharded store.
+
+    The smoke world runs in-process: the dense row embeds
+    ``store.to_graph()``, the sharded row the store itself, and the two
+    outputs are compared bitwise.
     """
     import shutil
     import tempfile
 
     from repro.data.synthetic import StreamedWorldConfig, stream_world_to_shards
+    from repro.shard.storage import forget_shard_dir
 
-    dim = 16
-    rows = []
     for spec in SHARD_SIZES[mode]:
         if spec.get("subprocess"):
-            sharded = _run_shard_child("sharded", spec, seed, workers)
-            dense = _run_shard_child("dense", spec, seed, workers)
-            rows.append(
-                {
-                    "variant": "streamed_world_out_of_core",
-                    "graph": {
-                        "num_users": spec["users"],
-                        "num_items": spec["items"],
-                        "num_edges": sharded["num_edges"],
-                    },
-                    "num_shards": spec["shards"],
-                    "workers": workers,
-                    "build_s": sharded["build_s"],
-                    "edges_shard_local": sharded["edges_shard_local"],
-                    "before_s": dense["embed_s"],
-                    "after_s": sharded["embed_s"],
-                    "speedup": round(dense["embed_s"] / sharded["embed_s"], 2),
-                    "bitwise_equal": sharded["checksum"] == dense["checksum"],
-                    "peak_rss_mb": sharded["peak_rss_mb"],
-                    "peak_rss_source": sharded.get("peak_rss_source", "rusage"),
-                    "dense_peak_rss_mb": dense["peak_rss_mb"],
-                    "dense_edge_list_mb": round(
-                        dense_footprint_mb(
-                            spec["users"], spec["items"], sharded["num_edges"], dim
-                        ),
-                        1,
-                    ),
-                }
-            )
+            yield from _shard_child_rows(spec, seed, workers)
             continue
-
         cfg = StreamedWorldConfig(
-            num_users=spec["users"],
-            num_items=spec["items"],
-            num_clusters=spec["clusters"],
-            mean_degree=spec["degree"],
-            feature_dim=dim,
+            num_users=spec["users"], num_items=spec["items"],
+            num_clusters=spec["clusters"], mean_degree=spec["degree"], feature_dim=16,
         )
         work = Path(tempfile.mkdtemp(prefix="repro-bench-shard-"))
         try:
             t0 = time.perf_counter()
-            store = stream_world_to_shards(
-                work / "world", cfg, num_shards=spec["shards"], seed=seed
-            )
+            store = stream_world_to_shards(work / "world", cfg,
+                                           num_shards=spec["shards"], seed=seed)
             build = time.perf_counter() - t0
             with store:
                 graph = store.to_graph()
-                before = _best_of(
-                    lambda: _shard_model(dim, seed).embed_all(
-                        graph, batch_size=1024
-                    ),
+
+                def embed(source, pool=None):
+                    model = _sage_module(16, seed, fanouts=(5, 3))
+                    return model.embed_all(source, batch_size=1024, workers=pool)
+
+                identity = {"variant": "smoke_world", "graph": _graph_meta(store),
+                            "num_shards": store.num_shards}
+                yield _row({**identity, "store": "dense"}, lambda: embed(graph),
+                           repeats, "sage.vertices_embedded")
+                yield _row(
+                    {**identity, "store": "sharded", "workers": workers},
+                    lambda: embed(store, workers),
                     repeats,
-                )
-                after = _best_of(
-                    lambda: _shard_model(dim, seed).embed_all(
-                        store, batch_size=1024, workers=workers
-                    ),
-                    repeats,
-                )
-                zu_d, zi_d = _shard_model(dim, seed).embed_all(
-                    graph, batch_size=1024
-                )
-                zu_s, zi_s = _shard_model(dim, seed).embed_all(
-                    store, batch_size=1024, workers=workers
-                )
-                bitwise = np.array_equal(
-                    np.asarray(zu_d), np.asarray(zu_s)
-                ) and np.array_equal(np.asarray(zi_d), np.asarray(zi_s))
-                del zu_s, zi_s
-                vertices = _counter_during(
-                    lambda: _shard_model(dim, seed).embed_all(
-                        store, batch_size=1024, workers=workers
-                    ),
                     "sage.vertices_embedded",
-                )
-                rows.append(
-                    {
-                        "variant": "embed_sharded_smoke",
-                        "graph": {
-                            "num_users": store.num_users,
-                            "num_items": store.num_items,
-                            "num_edges": store.num_edges,
-                        },
-                        "num_shards": store.num_shards,
-                        "workers": workers,
+                    lambda session: {
                         "build_s": round(build, 6),
                         "edges_shard_local": round(store.edges_shard_local, 4),
-                        "before_s": round(before, 6),
-                        "after_s": round(after, 6),
-                        "speedup": round(before / after, 2),
-                        "bitwise_equal": bool(bitwise),
-                        "vertices_embedded": int(vertices),
-                        "vertices_per_sec": round(vertices / after, 1),
-                    }
+                        "bitwise_equal": all(
+                            np.array_equal(a, np.asarray(b))
+                            for a, b in zip(embed(graph), embed(store, workers))
+                        ),
+                    },
                 )
         finally:
             shutil.rmtree(work, ignore_errors=True)
-            from repro.shard.storage import forget_shard_dir
-
             forget_shard_dir(work / "world")
-    return rows
 
 
-def _bench_serving(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
-    """The streaming serving stack: replay, delta refresh, serving day."""
-    from repro import obs
+def _bench_serving(mode: str, seed: int, repeats: int, workers: int) -> Rows:
+    """The streaming serving stack: replay, re-embed, serving day."""
     from repro.data.synthetic import TaobaoGenerator, WorldConfig
     from repro.serving.environment import OnlineEnvironment
     from repro.serving.recommend import PopularityRecommender
@@ -763,132 +452,87 @@ def _bench_serving(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
     )
 
     spec = SERVING_SIZES[mode]
-    size = spec["graph"]
-    requests, k = int(spec["requests"]), int(spec["k"])
-    graph = _graph(size, feature_dim=8, seed=seed)
-    module = _sage_module(graph, seed)
-    meta = _graph_meta(size)
-    rows: list[dict[str, Any]] = []
+    size, requests, k = spec["graph"], spec["requests"], spec["k"]
+    graph = _graph(size, 8, seed)
+    module = _sage_module(8, seed)
+    meta = _graph_meta(graph)
 
-    # --- replay: uncached vs LRU-cached request loop -------------------
-    # Zipf-tilted visitor stream so repeat visitors exist (that is what
-    # a slate cache exists for); seeded, so both arms serve the same
-    # requests in the same order.
-    stream_rng = ensure_rng(seed)
-    users = (stream_rng.zipf(1.5, size=requests) - 1) % size[0]
-
-    def frontend(cache_size: int):
-        fe = ServingFrontend(
-            graph,
-            StreamingEmbedder(module, sample_seed=seed),
-            cache_size=cache_size,
-            microbatch=64,
+    # Replay a Zipf-tilted visitor stream, so repeat visitors exist (that
+    # is what a slate cache is for), at cache size 0 (every request
+    # scored) and 4096 (every repeat visitor held).
+    users = (ensure_rng(seed).zipf(1.5, size=requests) - 1) % size[0]
+    for cache_size in (0, 4096):
+        frontend = ServingFrontend(
+            graph, StreamingEmbedder(module, sample_seed=seed),
+            cache_size=cache_size, microbatch=64,
         )
-        fe.warm()
-        return fe
+        frontend.warm()
 
-    uncached = frontend(0)
-    cached = frontend(4096)
-    before = _best_of(lambda: uncached.serve(users, k), repeats)
-    after = _best_of(lambda: cached.serve(users, k), repeats)
-    with obs.observe() as session:
-        cached.serve(users, k)
-    hist = session.registry.snapshot()["histograms"]["serving.latency_ms"]
-    rows.append(
-        {
-            "graph": meta,
-            "variant": "replay",
-            "requests": requests,
-            "k": k,
-            "before_s": round(before, 6),
-            "after_s": round(after, 6),
-            "speedup": round(before / after, 2),
-            "req_per_sec": round(requests / after, 1),
-            "p50_ms": round(hist["p50"], 4),
-            "p99_ms": round(hist["p99"], 4),
-            "hit_rate": round(cached.hit_rate, 3),
-        }
-    )
+        def latency(session) -> dict[str, Any]:
+            hist = session.registry.snapshot()["histograms"]["serving.latency_ms"]
+            return {"p50_ms": round(hist["p50"], 4), "p99_ms": round(hist["p99"], 4),
+                    "hit_rate": round(frontend.hit_rate, 3)}
 
-    # --- delta refresh vs full re-embed of the mutated graph ----------
-    refresh_bs = int(spec["refresh_batch"])
-    embedder = StreamingEmbedder(
-        module, sample_seed=seed, batch_size=refresh_bs, degrade_threshold=1.0
-    )
+        identity = {"graph": meta, "variant": "replay", "cache_size": cache_size,
+                    "requests": requests, "k": k}
+        yield _row(identity, lambda: frontend.serve(users, k), repeats,
+                   "serving.requests", latency)
+
+    # Re-embed a graph mutated by a few edges: in full, and by refresh.
+    batch = spec["refresh_batch"]
+    embedder = StreamingEmbedder(module, sample_seed=seed, batch_size=batch,
+                                 degrade_threshold=1.0)
     inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
     embedder.full_embed(inc.graph)
-    delta = int(spec["delta_edges"])
-    delta_rng = ensure_rng(seed + 1)
-    inc.add_edges(
-        np.column_stack(
-            [
-                delta_rng.integers(0, size[0], delta),
-                delta_rng.integers(0, size[1], delta),
-            ]
-        )
-    )
-    mutated = inc.graph
-    dirty_u, dirty_i = inc.dirty_users, inc.dirty_items
+    delta, delta_rng = spec["delta_edges"], ensure_rng(seed + 1)
+    inc.add_edges(np.column_stack([delta_rng.integers(0, size[0], delta),
+                                   delta_rng.integers(0, size[1], delta)]))
+    mutated, dirty = inc.graph, (inc.dirty_users, inc.dirty_items)
     # refresh() replaces (never mutates) the cached per-step matrices,
     # so resetting the two references replays the same delta each run.
-    base_h, base_shape = embedder._h, embedder._shape
+    base = embedder._h, embedder._shape
 
-    def run_refresh() -> None:
-        embedder._h, embedder._shape = base_h, base_shape
-        embedder.refresh(mutated, dirty_u, dirty_i)
+    def refresh() -> None:
+        embedder._h, embedder._shape = base
+        embedder.refresh(mutated, *dirty)
 
-    before = _best_of(
-        lambda: StreamingEmbedder(
-            module, sample_seed=seed, batch_size=refresh_bs
-        ).full_embed(mutated),
-        repeats,
-    )
-    after = _best_of(run_refresh, repeats)
-    stats = embedder.last_stats
-    rows.append(
-        {
-            "graph": meta,
-            "variant": "delta_refresh",
-            "delta_edges": delta,
-            "batch": refresh_bs,
-            "before_s": round(before, 6),
-            "after_s": round(after, 6),
-            "speedup": round(before / after, 2),
-            "refresh_mode": stats.mode,
-            "rows_recomputed": int(stats.rows_recomputed),
-            "recompute_fraction": round(stats.recompute_fraction, 3),
-        }
-    )
+    def refresh_stats(session) -> dict[str, Any]:
+        stats = embedder.last_stats
+        return {"refresh_mode": stats.mode,
+                "rows_recomputed": int(stats.rows_recomputed),
+                "recompute_fraction": round(stats.recompute_fraction, 3)}
 
-    # --- serving day: per-impression loop vs per-slate vectorised -----
-    truth = TaobaoGenerator(
-        WorldConfig(num_users=size[0], num_items=size[1]), seed=seed
-    ).truth
-    visitors = ensure_rng(seed + 2).integers(0, size[0], int(spec["visitors"]))
-    recommender = PopularityRecommender(
-        ensure_rng(seed + 3).random(size[1]), np.arange(size[1])
-    )
+    identity = {"graph": meta, "delta_edges": delta, "batch": batch}
+    yield _row({**identity, "variant": "full_embed"},
+               lambda: StreamingEmbedder(module, sample_seed=seed, batch_size=batch)
+               .full_embed(mutated), repeats)
+    yield _row({**identity, "variant": "delta_refresh"}, refresh, repeats,
+               extras=refresh_stats)
 
-    def day(vectorised: bool) -> None:
-        env = OnlineEnvironment(truth, rng=seed)
-        if vectorised:
-            env.run_day(recommender, visitors, slate_size=k)
-        else:
-            env._run_day_loop(recommender, visitors, slate_size=k)
+    # A serving day: per-slate vectorised click/purchase responses.
+    world = WorldConfig(num_users=size[0], num_items=size[1])
+    truth = TaobaoGenerator(world, seed=seed).truth
+    visitors = ensure_rng(seed + 2).integers(0, size[0], spec["visitors"])
+    recommender = PopularityRecommender(ensure_rng(seed + 3).random(size[1]),
+                                        np.arange(size[1]))
 
-    before = _best_of(lambda: day(False), repeats)
-    after = _best_of(lambda: day(True), repeats)
-    rows.append(
-        {
-            "variant": "run_day",
-            "n": int(spec["visitors"]),
-            "k": k,
-            "before_s": round(before, 6),
-            "after_s": round(after, 6),
-            "speedup": round(before / after, 2),
-        }
-    )
-    return rows
+    def day() -> None:
+        OnlineEnvironment(truth, rng=seed).run_day(recommender, visitors, k)
+
+    yield _row({"variant": "run_day", "n": spec["visitors"], "k": k}, day, repeats)
+
+
+# Report section -> row generator ``(mode, seed, repeats, workers)``.
+_SECTIONS: dict[str, Callable[[str, int, int, int], Rows]] = {
+    "embed_all": _bench_embed_all,
+    "train_epoch": _bench_train_epoch,
+    "weighted_sampling": _bench_weighted_sampling,
+    "kmeans": _bench_kmeans,
+    "parallel": _bench_parallel,
+    "score_topk": _bench_score_topk,
+    "shard": _bench_shard,
+    "serving": _bench_serving,
+}
 
 
 def bench_hotpaths(
@@ -899,10 +543,11 @@ def bench_hotpaths(
     ``mode`` selects the workload grid (``quick`` for CI smoke, ``full``
     for the tracked record); ``seed`` fixes every workload so runs are
     comparable; ``repeats`` takes the best of N timings; ``workers`` is
-    the pool size the ``parallel`` section compares against serial.
+    the pool size of the ``parallel`` and ``shard`` rows.
     """
     if mode not in GRAPH_SIZES:
         raise ValueError(f"unknown bench mode {mode!r} (use 'quick' or 'full')")
+    _warm_up()
     return {
         "schema": SCHEMA,
         "git_commit": git_commit(),
@@ -913,20 +558,10 @@ def bench_hotpaths(
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "telemetry": {
-            "sampler_interval_s": DEFAULT_INTERVAL_S,
-            "peak_rss_source": "monitor",
-        },
-        "benchmarks": {
-            "embed_all": _bench_embed_all(mode, seed, repeats),
-            "train_epoch": _bench_train_epoch(mode, seed, repeats),
-            "weighted_sampling": _bench_weighted_sampling(mode, seed, repeats),
-            "kmeans": _bench_kmeans(mode, seed, repeats),
-            "parallel": _bench_parallel(mode, seed, repeats, workers),
-            "score_topk": _bench_score_topk(mode, seed, repeats),
-            "shard": _bench_shard(mode, seed, repeats, workers),
-            "serving": _bench_serving(mode, seed, repeats),
-        },
+        "telemetry": {"sampler_interval_s": DEFAULT_INTERVAL_S,
+                      "peak_rss_source": "monitor"},
+        "benchmarks": {name: list(rows(mode, seed, repeats, workers))
+                       for name, rows in _SECTIONS.items()},
     }
 
 
@@ -938,230 +573,27 @@ def write_report(report: dict[str, Any], path: str | Path = DEFAULT_REPORT) -> P
 
 
 def load_report(path: str | Path = DEFAULT_REPORT) -> dict[str, Any]:
-    """Read a report, upgrading v1–v5 files to the v6 shape in memory.
-
-    v1 reports predate the commit stamp and throughput columns; v2
-    reports predate the ``parallel``/``score_topk`` sections and the
-    ``cpu_count``/``workers`` stamps; v3 reports predate the ``shard``
-    section and the per-row ``workers_effective``/``degraded`` honesty
-    columns; v4 reports predate the ``telemetry`` stamp and the
-    monitor-measured ``peak_rss_source`` column; v5 reports predate the
-    ``serving`` section.  The loader fills the missing top-level fields
-    with None and leaves rows as-is (newer columns and sections are
-    optional), so consumers only handle one shape.
-    """
+    """Read a report; only the current :data:`SCHEMA` is accepted."""
     report = json.loads(Path(path).read_text())
     schema = report.get("schema")
-    if schema in (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4, SCHEMA_V5):
-        report["schema"] = SCHEMA
-        report.setdefault("git_commit", None)
-        report.setdefault("cpu_count", None)
-        report.setdefault("workers", None)
-        report.setdefault("telemetry", None)
-    elif schema != SCHEMA:
+    if schema != SCHEMA:
         raise ValueError(f"unknown bench report schema {schema!r} in {path}")
     return report
 
 
 def render_report(report: dict[str, Any]) -> str:
-    """Plain-text table of every benchmark row (before/after/speedup)."""
-    commit = report.get("git_commit")
-    cpus = report.get("cpu_count")
+    """Plain-text table of every benchmark row (wall time, throughput)."""
+    commit = report.get("git_commit") or "unknown"
     lines = [
         f"hot-path benchmark — mode={report['mode']} seed={report['seed']} "
         f"repeats={report['repeats']} (numpy {report['numpy']}, "
-        f"commit {commit[:12] if commit else 'unknown'}"
-        + (f", cpus={cpus}" if cpus else "")
-        + ")",
-        f"{'benchmark':<20} {'workload':<28} {'before':>10} {'after':>10} "
-        f"{'speedup':>8} {'throughput':>16}",
+        f"commit {commit[:12]}, cpus={report['cpu_count']})",
+        f"{'benchmark':<18} {'workload':<70} {'wall':>10} {'throughput':>16}",
     ]
     for name, rows in report["benchmarks"].items():
         for row in rows:
-            if "graph" in row:
-                g = row["graph"]
-                workload = f"{g['num_users']}x{g['num_items']} e={g['num_edges']}"
-            else:
-                workload = f"{row['variant']} n={row['n']} k={row['k']}"
-            throughput = ""
-            for key, unit in (
-                ("vertices_per_sec", "vert/s"),
-                ("samples_per_sec", "smp/s"),
-                ("edges_per_sec", "edge/s"),
-            ):
-                if key in row:
-                    throughput = f"{row[key]:,.0f} {unit}"
-                    break
-            lines.append(
-                f"{name:<20} {workload:<28} {row['before_s']:>9.4f}s "
-                f"{row['after_s']:>9.4f}s {row['speedup']:>7.2f}x {throughput:>16}"
-            )
-    return "\n".join(lines)
-
-
-# Row fields that identify *what* was benchmarked (as opposed to the
-# measurements).  Together with the section name and graph shape they
-# form the key ``check_report`` matches rows on.
-_IDENTITY_FIELDS = (
-    "variant",
-    "n",
-    "dim",
-    "k",
-    "candidates",
-    "queries",
-    "batch",
-    "fanout",
-    "epochs",
-    "batch_size",
-    "n_init",
-    "num_shards",
-    "workers",
-    "requests",
-    "delta_edges",
-)
-
-
-def _row_key(section: str, row: dict[str, Any]) -> str:
-    """Stable identity of one benchmark row across runs."""
-    parts = [section]
-    graph = row.get("graph")
-    if graph is not None:
-        parts.append(
-            f"g={graph['num_users']}x{graph['num_items']}e{graph['num_edges']}"
-        )
-    for field in _IDENTITY_FIELDS:
-        if field in row:
-            parts.append(f"{field}={row[field]}")
-    return " ".join(parts)
-
-
-def _row_skip_reason(
-    current: dict[str, Any], baseline: dict[str, Any]
-) -> str | None:
-    """Why this row pair cannot be compared honestly, or None."""
-    if current.get("degraded") or baseline.get("degraded"):
-        return "degraded host"
-    cur_eff = current.get("workers_effective")
-    base_eff = baseline.get("workers_effective")
-    if cur_eff != base_eff:
-        return f"workers_effective {base_eff} -> {cur_eff}"
-    return None
-
-
-def check_report(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    tolerance: float = CHECK_TOLERANCE,
-    min_delta_s: float = CHECK_MIN_DELTA_S,
-) -> dict[str, Any]:
-    """Compare a fresh run against a recorded baseline, row by row.
-
-    Rows are matched by section plus identity fields (graph shape,
-    variant, n/k/workers, ...), so quick-vs-full grid differences simply
-    leave rows unmatched (``new``/``missing`` status) rather than
-    failing.  A matched row regresses when its ``after_s`` exceeds the
-    baseline by more than ``tolerance`` (fractional) *and* by more than
-    ``min_delta_s`` absolute — the floor keeps sub-millisecond rows from
-    flapping on scheduler noise.  Rows whose machines cannot be compared
-    honestly are skipped, never failed: a ``degraded`` flag on either
-    side (single-core host) or a ``workers_effective`` mismatch means
-    the baseline's parallel timings are not reproducible here.
-
-    Returns a dict with per-row status entries (``rows``), the keys that
-    regressed (``regressions``), and checked/skipped/unmatched tallies.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    base_rows = {
-        _row_key(section, row): row
-        for section, rows in baseline.get("benchmarks", {}).items()
-        for row in rows
-    }
-    entries: list[dict[str, Any]] = []
-    regressions: list[str] = []
-    checked = skipped = unmatched = 0
-    for section, rows in current.get("benchmarks", {}).items():
-        for row in rows:
-            key = _row_key(section, row)
-            base = base_rows.pop(key, None)
-            entry: dict[str, Any] = {
-                "key": key,
-                "current_s": row.get("after_s"),
-                "baseline_s": base.get("after_s") if base else None,
-            }
-            if base is None:
-                entry["status"] = "new"
-                unmatched += 1
-            else:
-                reason = _row_skip_reason(row, base)
-                cur_s, base_s = row["after_s"], base["after_s"]
-                if base_s:
-                    entry["delta_pct"] = round(100.0 * (cur_s / base_s - 1), 1)
-                if reason is not None:
-                    entry["status"] = "skipped"
-                    entry["reason"] = reason
-                    skipped += 1
-                elif (
-                    cur_s > base_s * (1.0 + tolerance)
-                    and cur_s - base_s > min_delta_s
-                ):
-                    entry["status"] = "regression"
-                    regressions.append(key)
-                    checked += 1
-                else:
-                    entry["status"] = "ok"
-                    checked += 1
-            entries.append(entry)
-    for key, base in base_rows.items():
-        entries.append(
-            {
-                "key": key,
-                "current_s": None,
-                "baseline_s": base.get("after_s"),
-                "status": "missing",
-            }
-        )
-        unmatched += 1
-    return {
-        "tolerance": tolerance,
-        "min_delta_s": min_delta_s,
-        "baseline_commit": baseline.get("git_commit"),
-        "rows": entries,
-        "regressions": regressions,
-        "checked": checked,
-        "skipped": skipped,
-        "unmatched": unmatched,
-    }
-
-
-def render_check_table(result: dict[str, Any]) -> str:
-    """Plain-text delta table for one :func:`check_report` result."""
-    commit = result.get("baseline_commit")
-    lines = [
-        f"bench --check — tolerance +{result['tolerance'] * 100:.0f}% "
-        f"(abs floor {result['min_delta_s'] * 1000:.1f} ms, baseline commit "
-        f"{commit[:12] if commit else 'unknown'})",
-        f"{'status':<12} {'workload':<52} {'baseline':>10} {'current':>10} "
-        f"{'delta':>8}",
-    ]
-    for entry in sorted(
-        result["rows"], key=lambda e: (e["status"] != "regression", e["key"])
-    ):
-        base_s = entry.get("baseline_s")
-        cur_s = entry.get("current_s")
-        delta = entry.get("delta_pct")
-        status = entry["status"].upper() if entry["status"] == "regression" else entry["status"]
-        if entry.get("reason"):
-            status = f"{status} ({entry['reason']})"
-        lines.append(
-            f"{status:<12} {entry['key']:<52} "
-            f"{f'{base_s:.4f}s' if base_s is not None else '-':>10} "
-            f"{f'{cur_s:.4f}s' if cur_s is not None else '-':>10} "
-            f"{f'{delta:+.1f}%' if delta is not None else '':>8}"
-        )
-    lines.append(
-        f"{result['checked']} checked, {result['skipped']} skipped, "
-        f"{result['unmatched']} unmatched, "
-        f"{len(result['regressions'])} regression(s)"
-    )
+            throughput = "".join(f"{row[col]:,.0f} {unit}"
+                                 for _, col, unit in _WORK_COLUMNS.values() if col in row)
+            lines.append(f"{name:<18} {row['key']:<70} {row['wall_s']:>9.4f}s "
+                         f"{throughput:>16}")
     return "\n".join(lines)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.clustering.kmeans import assign_to_centers, kmeans, kmeans_plus_plus
 from repro.utils.config import KMeansConfig
+from tests.clustering.kmeans_oracle import minibatch_loop, single_pass_loop
 
 
 def _blobs(n_per=30, k=3, dim=4, spread=0.3, seed=0):
@@ -181,26 +182,26 @@ def test_property_inertia_nonnegative_and_centers_finite(seed, k):
 
 class TestVectorisedVariantsMatchLoops:
     """The chunked/vectorised updates are regression-tested against the
-    retained per-point reference loops."""
+    per-point loops of the test oracle."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_single_pass_chunk1_bitwise_equal(self, seed):
-        from repro.clustering.kmeans import _single_pass, _single_pass_loop
+        from repro.clustering.kmeans import _single_pass
 
         points = np.random.default_rng(seed).normal(size=(80, 5))
         fast = _single_pass(points, 7, np.random.default_rng(seed), chunk_size=1)
-        slow = _single_pass_loop(points, 7, np.random.default_rng(seed))
+        slow = single_pass_loop(points, 7, np.random.default_rng(seed))
         np.testing.assert_array_equal(fast.labels, slow.labels)
         np.testing.assert_array_equal(fast.centers, slow.centers)
         assert fast.inertia == slow.inertia
 
     @pytest.mark.parametrize("seed", range(6))
     def test_single_pass_chunked_close_to_loop(self, seed):
-        from repro.clustering.kmeans import _single_pass, _single_pass_loop
+        from repro.clustering.kmeans import _single_pass
 
         points, _ = _blobs(n_per=40, k=4, dim=3, seed=seed)
         fast = _single_pass(points, 4, np.random.default_rng(seed))
-        slow = _single_pass_loop(points, 4, np.random.default_rng(seed))
+        slow = single_pass_loop(points, 4, np.random.default_rng(seed))
         # Chunked assignment uses stale centres within a chunk, so only
         # the clustering quality (not the arithmetic) is expected to agree.
         assert fast.centers.shape == slow.centers.shape
@@ -209,12 +210,12 @@ class TestVectorisedVariantsMatchLoops:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_minibatch_matches_loop(self, seed):
-        from repro.clustering.kmeans import _minibatch, _minibatch_loop
+        from repro.clustering.kmeans import _minibatch
 
         points, _ = _blobs(n_per=30, k=3, dim=4, seed=seed)
         cfg = KMeansConfig(algorithm="minibatch", max_iter=10, batch_size=32)
         fast = _minibatch(points, 3, cfg, np.random.default_rng(seed))
-        slow = _minibatch_loop(points, 3, cfg, np.random.default_rng(seed))
+        slow = minibatch_loop(points, 3, cfg, np.random.default_rng(seed))
         np.testing.assert_allclose(fast.centers, slow.centers, atol=1e-9)
         np.testing.assert_array_equal(fast.labels, slow.labels)
 

@@ -12,13 +12,17 @@ forwards and gradients.
 * :func:`embed_frontier` is the tape-built ``_embed_frontier``; install
   it with :func:`use_tape_recursion` to run a whole module (or a whole
   ``SageTrainer.fit``) through the tape.
+* :func:`embed_naive` is the recursion before frontier deduplication:
+  every frontier occurrence is embedded anew.  Install it with
+  :func:`use_naive_recursion` to run ``embed_users``/``embed_items``
+  through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sage import BipartiteGraphSAGE
+from repro.core.sage import BipartiteGraphSAGE, sage_step
 from repro.nn.layers import Activation, Linear
 from repro.nn.tensor import Tensor, concat, where
 
@@ -103,3 +107,48 @@ def embed_frontier(
 def use_tape_recursion(monkeypatch) -> None:
     """Route every ``BipartiteGraphSAGE`` through :func:`embed_frontier`."""
     monkeypatch.setattr(BipartiteGraphSAGE, "_embed_frontier", embed_frontier)
+
+
+def embed_naive(
+    module: BipartiteGraphSAGE,
+    graph,
+    ids: np.ndarray,
+    step: int,
+    side: str,
+) -> Tensor:
+    """h^step for ``ids`` with every frontier occurrence embedded anew.
+
+    -1 ids produce zero rows, as in ``BipartiteGraphSAGE._embed``.
+    """
+    ids = np.asarray(ids)
+    mask = ids >= 0
+    safe = np.where(mask, ids, 0)
+
+    if step == 0:
+        base = module._features(graph, side)[safe].copy()
+        base[~mask] = 0.0
+        return Tensor(base)
+
+    own_prev = embed_naive(module, graph, ids, step - 1, side)
+    neigh = module._sample(graph, safe, step, side)
+    neigh[~mask] = -1
+    other_side = "item" if side == "user" else "user"
+    other = embed_naive(module, graph, neigh.reshape(-1), step - 1, other_side)
+    cfg = module.config
+    out = sage_step(
+        own_prev,
+        other,
+        np.arange(neigh.size).reshape(neigh.shape),
+        neigh >= 0,
+        *module._step_modules(step, side),
+        cfg.activation,
+        cfg.aggregator,
+    )
+    if not mask.all():
+        out = out * mask[:, None].astype(float)
+    return out
+
+
+def use_naive_recursion(monkeypatch) -> None:
+    """Route every ``BipartiteGraphSAGE._embed`` through :func:`embed_naive`."""
+    monkeypatch.setattr(BipartiteGraphSAGE, "_embed", embed_naive)

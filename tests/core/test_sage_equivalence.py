@@ -2,11 +2,13 @@
 
 The dedup-frontier recursion and the layer-wise ``embed_all`` engine
 must compute exactly what the training recursion (``embed_users`` /
-``embed_items``, naive or dedup) computes whenever neighbour sampling is
-a pure function of the vertex.  These tests install such a
-deterministic sampler (first neighbours, cycled to the fan-out) and
-assert the rewrites agree with the recursion.
+``embed_items``, dedup or the naive oracle in ``sage_oracle``) computes
+whenever neighbour sampling is a pure function of the vertex.  These
+tests install such a deterministic sampler (first neighbours, cycled to
+the fan-out) and assert the rewrites agree with the recursion.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.graph.generators import random_bipartite
 from repro.graph.sampling import NeighborSampler
 from repro.streaming import StreamingEmbedder
 from repro.utils.config import SageConfig
+from tests.core.sage_oracle import embed_naive, use_naive_recursion
 
 
 class DeterministicSampler:
@@ -75,19 +78,19 @@ class TestDedupEquivalence:
     def test_dedup_matches_naive(self, graph, aggregator):
         mod = _module(graph, aggregator=aggregator)
         for side in ("user", "item"):
-            a = mod._embed(graph, IDS_WITH_DUPES, 2, side, dedup=True)
-            b = mod._embed(graph, IDS_WITH_DUPES, 2, side, dedup=False)
+            a = mod._embed(graph, IDS_WITH_DUPES, 2, side)
+            b = embed_naive(mod, graph, IDS_WITH_DUPES, 2, side)
             np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_dedup_matches_naive_shared_space(self, graph):
         mod = _module(graph, shared_space=True)
-        a = mod._embed(graph, IDS_WITH_DUPES, 2, "user", dedup=True)
-        b = mod._embed(graph, IDS_WITH_DUPES, 2, "user", dedup=False)
+        a = mod._embed(graph, IDS_WITH_DUPES, 2, "user")
+        b = embed_naive(mod, graph, IDS_WITH_DUPES, 2, "user")
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_invalid_ids_produce_zero_rows(self, graph):
         mod = _module(graph)
-        z = mod._embed(graph, np.array([-1, 2, -1]), 2, "user", dedup=True)
+        z = mod._embed(graph, np.array([-1, 2, -1]), 2, "user")
         assert np.allclose(z.data[[0, 2]], 0.0)
         assert not np.allclose(z.data[1], 0.0)
 
@@ -95,9 +98,9 @@ class TestDedupEquivalence:
         mod = _module(graph)
         ids = np.array([0, 3, 3, 7, 0])
         grads = {}
-        for dedup in (True, False):
+        for dedup, embed in ((True, mod._embed), (False, partial(embed_naive, mod))):
             mod.zero_grad()
-            z = mod._embed(graph, ids, 2, "user", dedup=dedup)
+            z = embed(graph, ids, 2, "user")
             (z * z).sum().backward()
             grads[dedup] = {
                 name: None if p.grad is None else p.grad.copy()
@@ -132,10 +135,12 @@ class TestLayerwiseEquivalence:
         np.testing.assert_allclose(zu_layer, zu_rec, atol=1e-12)
         np.testing.assert_allclose(zi_layer, zi_rec, atol=1e-12)
 
-    def test_layerwise_matches_naive_recursive(self, graph, deterministic_sampling):
+    def test_layerwise_matches_naive_recursive(
+        self, graph, deterministic_sampling, monkeypatch
+    ):
         mod = _module(graph, deterministic=False)
         zu_layer, zi_layer = mod.embed_all(graph)
-        mod.dedup_frontier = False
+        use_naive_recursion(monkeypatch)
         zu_naive, zi_naive = _recursive_all(mod, graph)
         np.testing.assert_allclose(zu_layer, zu_naive, atol=1e-12)
         np.testing.assert_allclose(zi_layer, zi_naive, atol=1e-12)

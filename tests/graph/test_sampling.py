@@ -6,6 +6,7 @@ import pytest
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite, star_bipartite
 from repro.graph.sampling import NegativeSampler, NeighborSampler, sample_edge_batches
+from tests.graph.sampler_oracle import sample_reference
 
 
 class TestNeighborSampler:
@@ -138,7 +139,7 @@ class TestWeightedSamplerEquivalence:
         fast = NeighborSampler(g, rng=seed, weighted=True)
         slow = NeighborSampler(g, rng=seed, weighted=True)
         got = fast.sample_items_for_users(vertices, fanout=6)
-        want = slow._sample_reference(vertices, fanout=6, side="user")
+        want = sample_reference(slow, vertices, fanout=6, side="user")
         np.testing.assert_array_equal(got, want)
 
     def test_matches_reference_item_side(self):
@@ -147,7 +148,7 @@ class TestWeightedSamplerEquivalence:
         fast = NeighborSampler(g, rng=7, weighted=True)
         slow = NeighborSampler(g, rng=7, weighted=True)
         got = fast.sample_users_for_items(vertices, fanout=4)
-        want = slow._sample_reference(vertices, fanout=4, side="item")
+        want = sample_reference(slow, vertices, fanout=4, side="item")
         np.testing.assert_array_equal(got, want)
 
     def test_matches_reference_with_isolated_and_duplicate_vertices(self):
@@ -158,11 +159,11 @@ class TestWeightedSamplerEquivalence:
         fast = NeighborSampler(g, rng=11, weighted=True)
         slow = NeighborSampler(g, rng=11, weighted=True)
         got = fast.sample_items_for_users(vertices, fanout=5)
-        want = slow._sample_reference(vertices, fanout=5, side="user")
+        want = sample_reference(slow, vertices, fanout=5, side="user")
         np.testing.assert_array_equal(got, want)
         assert np.all(got[[1, 3]] == -1)
 
     def test_reference_requires_weighted(self, small_random_graph):
         sampler = NeighborSampler(small_random_graph, rng=0, weighted=False)
         with pytest.raises(RuntimeError):
-            sampler._sample_reference(np.arange(3), fanout=2, side="user")
+            sample_reference(sampler, np.arange(3), fanout=2, side="user")

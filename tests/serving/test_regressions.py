@@ -21,6 +21,7 @@ from repro.serving.recommend import (
     stable_topk,
 )
 from repro.taxonomy.builder import Taxonomy, Topic
+from tests.serving.environment_oracle import run_day_loop
 
 
 @pytest.fixture(scope="module")
@@ -168,9 +169,7 @@ class TestRunDayVectorisation:
         for seed in range(12):
             rec = _FixedRecommender(num_items, 5, seed=seed)
             vec = OnlineEnvironment(truth, rng=seed).run_day(rec, visitors, 5)
-            loop = OnlineEnvironment(truth, rng=seed)._run_day_loop(
-                rec, visitors, 5
-            )
+            loop = run_day_loop(OnlineEnvironment(truth, rng=seed), rec, visitors, 5)
             assert vec.impressions == loop.impressions
             vec_ctr.append(vec.ctr)
             loop_ctr.append(loop.ctr)

@@ -6,19 +6,22 @@ from repro.utils.bench import SHARD_SIZES, _bench_shard, dense_footprint_mb
 
 def test_quick_shard_rows():
     before = active_shard_dirs()
-    rows = _bench_shard("quick", seed=0, repeats=1, workers=1)
+    rows = list(_bench_shard("quick", seed=0, repeats=1, workers=1))
     assert active_shard_dirs() == before  # no stray stores left behind
-    assert len(rows) == len(SHARD_SIZES["quick"])
-    row = rows[0]
-    assert row["variant"] == "embed_sharded_smoke"
-    assert row["bitwise_equal"] is True
-    assert row["edges_shard_local"] >= 0.9
-    assert row["build_s"] > 0 and row["after_s"] > 0
-    # One count per vertex per propagation step (two steps configured).
-    assert row["vertices_embedded"] == 2 * (
-        row["graph"]["num_users"] + row["graph"]["num_items"]
-    )
-    assert set(row) >= {"num_shards", "workers", "before_s", "speedup"}
+    # One dense and one sharded row per world.
+    assert len(rows) == 2 * len(SHARD_SIZES["quick"])
+    dense, sharded = rows
+    assert (dense["store"], sharded["store"]) == ("dense", "sharded")
+    assert sharded["bitwise_equal"] is True
+    assert sharded["edges_shard_local"] >= 0.9
+    assert sharded["build_s"] > 0
+    for row in rows:
+        assert row["variant"] == "smoke_world" and row["wall_s"] > 0
+        # One count per vertex per propagation step (two steps configured).
+        assert row["vertices_embedded"] == 2 * (
+            row["graph"]["num_users"] + row["graph"]["num_items"]
+        )
+    assert set(sharded) >= {"num_shards", "workers", "wall_s", "vertices_per_sec"}
 
 
 def test_dense_footprint_formula():

@@ -1,5 +1,7 @@
 """ShardedCSR storage: round-trips, lifecycle, block access."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,56 @@ class TestLifecycle:
                 store.degrees("query")
             with pytest.raises(ValueError):
                 store.neighbors("both", 0)
+
+
+class TestFaults:
+    def test_failed_manifest_rename_leaves_no_manifest(self, tmp_path, monkeypatch):
+        graph = _world(users=10, items=8, edges=20)
+
+        def crash(src, dst):
+            raise OSError("simulated crash while renaming the manifest")
+
+        monkeypatch.setattr("repro.shard.storage.os.replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            graph.to_sharded(tmp_path / "s", num_shards=2)
+        monkeypatch.undo()
+        assert not (tmp_path / "s" / "manifest.json").exists()
+        assert not list((tmp_path / "s").glob(".manifest*"))  # temp file removed
+        with pytest.raises(FileNotFoundError):
+            ShardedCSR.open(tmp_path / "s")
+
+    def test_manifest_mode_matches_blocks(self, tmp_path):
+        # The manifest is as readable as the blocks it describes, so a
+        # store another user may open stays openable.
+        with _world(users=10, items=8, edges=20).to_sharded(tmp_path / "s", num_shards=2):
+            manifest = (tmp_path / "s" / "manifest.json").stat().st_mode & 0o777
+            block = (tmp_path / "s" / "user_000.indices.bin").stat().st_mode & 0o777
+        assert manifest == block
+
+    def test_manifest_rename_fsyncs_store_dir(self, tmp_path, monkeypatch):
+        store_dir = tmp_path / "s"
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.shard.storage.os.fsync", fsync)
+        with _world(users=10, items=8, edges=20).to_sharded(store_dir, num_shards=2):
+            assert synced[-1] == store_dir.stat().st_ino
+
+    def test_truncated_block_names_file_and_sizes(self, tmp_path):
+        graph = _world(seed=1)
+        with graph.to_sharded(tmp_path / "s", num_shards=2):
+            block = tmp_path / "s" / "user_000.indices.bin"
+            size = block.stat().st_size
+            with open(block, "r+b") as fh:
+                fh.truncate(size // 2)
+            attached = ShardedCSR.open(tmp_path / "s")
+            try:
+                with pytest.raises(ValueError, match="user_000.indices.bin") as err:
+                    attached.to_graph()
+                assert f"holds {size // 2} bytes, expected {size}" in str(err.value)
+            finally:
+                attached.close()

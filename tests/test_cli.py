@@ -85,7 +85,7 @@ class TestCommands:
         serving_variants = {
             row["variant"] for row in data["benchmarks"]["serving"]
         }
-        assert serving_variants == {"replay", "delta_refresh", "run_day"}
+        assert serving_variants == {"replay", "full_embed", "delta_refresh", "run_day"}
         for row in data["benchmarks"]["parallel"]:
             assert row["workers_effective"] >= 1
             assert isinstance(row["degraded"], bool)

@@ -10,17 +10,17 @@ import copy
 
 import pytest
 
-from repro.utils.bench import (
+from repro.utils.bench import SCHEMA
+from repro.utils.bench_check import (
     CHECK_MIN_DELTA_S,
     CHECK_TOLERANCE,
-    SCHEMA,
     check_report,
     render_check_table,
 )
 
 
 def _report(**sections) -> dict:
-    """A minimal v5-shaped report with the given benchmark sections."""
+    """A minimal report with the given benchmark sections."""
     return {
         "schema": SCHEMA,
         "git_commit": "a" * 40,
@@ -30,8 +30,10 @@ def _report(**sections) -> dict:
     }
 
 
-def _row(after_s: float, **identity) -> dict:
-    return {"before_s": after_s * 2, "after_s": after_s, "speedup": 2.0, **identity}
+def _row(wall_s: float, **fields) -> dict:
+    """A row keyed on every field it was made with."""
+    key = " ".join(f"{name}={value}" for name, value in fields.items())
+    return {"key": key, "wall_s": wall_s, **fields}
 
 
 class TestCheckReport:
@@ -48,7 +50,7 @@ class TestCheckReport:
     def test_slowdown_beyond_tolerance_regresses(self):
         base = _report(kmeans=[_row(0.2, variant="single_pass", n=50, dim=4, k=3)])
         cur = copy.deepcopy(base)
-        cur["benchmarks"]["kmeans"][0]["after_s"] = 0.5  # +150%, +300 ms
+        cur["benchmarks"]["kmeans"][0]["wall_s"] = 0.5  # +150%, +300 ms
         result = check_report(cur, base)
         assert len(result["regressions"]) == 1
         assert "single_pass" in result["regressions"][0]
@@ -59,7 +61,7 @@ class TestCheckReport:
     def test_slowdown_within_tolerance_passes(self):
         base = _report(kmeans=[_row(0.2, variant="single_pass", n=50, dim=4, k=3)])
         cur = copy.deepcopy(base)
-        cur["benchmarks"]["kmeans"][0]["after_s"] = 0.2 * (1 + CHECK_TOLERANCE) * 0.99
+        cur["benchmarks"]["kmeans"][0]["wall_s"] = 0.2 * (1 + CHECK_TOLERANCE) * 0.99
         result = check_report(cur, base)
         assert result["regressions"] == []
 
@@ -67,7 +69,7 @@ class TestCheckReport:
         # 5x slower but only +0.4 ms — scheduler noise, never a regression.
         base = _report(kmeans=[_row(0.0001, variant="single_pass", n=50, dim=4, k=3)])
         cur = copy.deepcopy(base)
-        cur["benchmarks"]["kmeans"][0]["after_s"] = 0.0005
+        cur["benchmarks"]["kmeans"][0]["wall_s"] = 0.0005
         assert 0.0005 - 0.0001 < CHECK_MIN_DELTA_S
         result = check_report(cur, base)
         assert result["regressions"] == []
@@ -81,7 +83,7 @@ class TestCheckReport:
         )
         cur = copy.deepcopy(base)
         row = cur["benchmarks"]["parallel"][0]
-        row.update(after_s=5.0, degraded=True, workers_effective=1)
+        row.update(wall_s=5.0, degraded=True, workers_effective=1)
         result = check_report(cur, base)
         assert result["regressions"] == []
         assert result["skipped"] == 1
@@ -96,7 +98,7 @@ class TestCheckReport:
             ]
         )
         cur = copy.deepcopy(base)
-        cur["benchmarks"]["parallel"][0].update(after_s=5.0, workers_effective=2)
+        cur["benchmarks"]["parallel"][0].update(wall_s=5.0, workers_effective=2)
         result = check_report(cur, base)
         assert result["regressions"] == []
         assert "workers_effective" in result["rows"][0]["reason"]
@@ -123,7 +125,7 @@ class TestCheckReport:
         assert {"ok", "new", "missing"} <= statuses
 
     def test_serving_rows_match_by_identity(self):
-        # The v6 serving section round-trips: replay / delta_refresh /
+        # The serving section round-trips: replay / delta_refresh /
         # run_day rows match themselves via their identity fields.
         rep = _report(
             serving=[
@@ -156,7 +158,7 @@ class TestCheckReport:
             ]
         )
         cur = copy.deepcopy(base)
-        cur["benchmarks"]["serving"][0]["after_s"] = 1.0  # +150%, +600 ms
+        cur["benchmarks"]["serving"][0]["wall_s"] = 1.0  # +150%, +600 ms
         result = check_report(cur, base)
         assert len(result["regressions"]) == 1
         assert "replay" in result["regressions"][0]
@@ -175,7 +177,7 @@ class TestRenderCheckTable:
             embed_all=[_row(0.5, graph={"num_users": 9, "num_items": 4, "num_edges": 20})],
         )
         cur = copy.deepcopy(base)
-        cur["benchmarks"]["kmeans"][0]["after_s"] = 0.8
+        cur["benchmarks"]["kmeans"][0]["wall_s"] = 0.8
         text = render_check_table(check_report(cur, base))
         lines = text.splitlines()
         assert lines[2].startswith("REGRESSION")

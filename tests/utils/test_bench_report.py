@@ -1,4 +1,4 @@
-"""Bench report schema: commit stamp, throughput columns, legacy loaders."""
+"""Bench report schema: commit stamp, throughput columns, row identity, loader."""
 
 import json
 
@@ -7,8 +7,6 @@ import pytest
 from repro.utils import bench
 from repro.utils.bench import (
     SCHEMA,
-    SCHEMA_V1,
-    SCHEMA_V3,
     bench_hotpaths,
     git_commit,
     load_report,
@@ -65,11 +63,21 @@ class TestSchemaV2:
 
     def test_v4_shard_section(self, tiny_report):
         rows = tiny_report["benchmarks"]["shard"]
-        assert len(rows) == 1
-        row = rows[0]
+        assert [row["store"] for row in rows] == ["dense", "sharded"]
+        row = rows[1]
         assert row["bitwise_equal"] is True
         assert 0.0 <= row["edges_shard_local"] <= 1.0
         assert row["num_shards"] == 3 and row["build_s"] > 0
+
+    def test_row_keys_unique(self, tiny_report):
+        # check_report builds a dict over row keys, so two rows sharing
+        # a key would silently shadow each other in the comparison.
+        keys = [
+            (section, row["key"])
+            for section, rows in tiny_report["benchmarks"].items()
+            for row in rows
+        ]
+        assert len(keys) == len(set(keys))
 
     def test_render_includes_throughput_and_commit(self, tiny_report):
         text = render_report(tiny_report)
@@ -82,69 +90,10 @@ class TestLoader:
         path = write_report(tiny_report, tmp_path / "r.json")
         assert load_report(path) == json.loads(path.read_text())
 
-    def test_upgrades_v1(self, tmp_path):
-        v1 = {
-            "schema": SCHEMA_V1,
-            "mode": "quick",
-            "seed": 0,
-            "repeats": 1,
-            "python": "3",
-            "numpy": "2",
-            "benchmarks": {
-                "embed_all": [
-                    {
-                        "graph": {"num_users": 1, "num_items": 1, "num_edges": 1},
-                        "before_s": 1.0,
-                        "after_s": 0.5,
-                        "speedup": 2.0,
-                    }
-                ]
-            },
-        }
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(v1))
-        loaded = load_report(path)
-        assert loaded["schema"] == SCHEMA
-        assert loaded["git_commit"] is None
-        # v1 rows render fine without throughput columns.
-        assert "embed_all" in render_report(loaded)
-
-    def test_upgrades_v3(self, tmp_path):
-        v3 = {
-            "schema": SCHEMA_V3,
-            "git_commit": None,
-            "mode": "quick",
-            "seed": 0,
-            "repeats": 1,
-            "workers": 4,
-            "cpu_count": 1,
-            "python": "3",
-            "numpy": "2",
-            "benchmarks": {
-                "parallel": [
-                    {
-                        "variant": "kmeans_restarts",
-                        "n": 9,
-                        "k": 2,
-                        "workers": 4,
-                        "before_s": 1.0,
-                        "after_s": 0.5,
-                        "speedup": 2.0,
-                    }
-                ]
-            },
-        }
-        path = tmp_path / "v3.json"
-        path.write_text(json.dumps(v3))
-        loaded = load_report(path)
-        assert loaded["schema"] == SCHEMA
-        # v3 rows lack the shard section and honesty columns; both are
-        # optional after upgrade and rendering still works.
-        assert "shard" not in loaded["benchmarks"]
-        assert "kmeans_restarts" in render_report(loaded)
-
     def test_rejects_unknown_schema(self, tmp_path):
+        # Earlier report schemas are rejected like foreign ones.
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "other/v9"}))
-        with pytest.raises(ValueError):
-            load_report(path)
+        for schema in ("other/v9", "repro/hotpath-bench/v6"):
+            path.write_text(json.dumps({"schema": schema}))
+            with pytest.raises(ValueError):
+                load_report(path)
