@@ -158,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=256, help="embedding chunk size"
     )
     serve.add_argument(
-        "--degrade-threshold",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="recompute fraction above which a delta refresh degrades to "
-        "a full pass (1.0 = never degrade)",
-    )
-    serve.add_argument(
         "--delta-edges",
         type=int,
         default=2,
@@ -183,15 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="delta-refresh embeddings at the end of every N-th round "
-        "(0 = never; rely on --refresh-threshold)",
-    )
-    serve.add_argument(
-        "--refresh-threshold",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="dirty fraction above which serve() auto-refreshes before "
-        "answering (default: off)",
+        "(0 = never)",
     )
     serve.add_argument(
         "--json",
@@ -568,11 +552,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         SageConfig(embedding_dim=16, neighbor_samples=(10, 5)),
         rng=args.seed,
     )
-    embedder = StreamingEmbedder(
-        model,
-        batch_size=args.batch_size,
-        degrade_threshold=args.degrade_threshold,
-    )
+    embedder = StreamingEmbedder(model, batch_size=args.batch_size)
     degrees = np.zeros(args.items)
     np.add.at(degrees, graph.edges[:, 1], 1.0)
     fallback = PopularityRecommender(degrees, np.arange(args.items))
@@ -582,7 +562,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         fallback=fallback,
         cache_size=args.cache_size,
         microbatch=args.microbatch,
-        refresh_dirty_threshold=args.refresh_threshold,
     )
     t0 = time.perf_counter()
     frontend.warm(workers=args.workers)
@@ -602,14 +581,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 axis=1,
             )
             frontend.ingest(edges)
-        new_ids: list[int] = []
+        new_ids = np.empty(0, dtype=np.int64)
         if args.new_users:
             new_ids = frontend.graph.add_users(
                 args.new_users,
                 features=rng.normal(size=(args.new_users, feature_dim)),
             )
         users = (rng.zipf(1.5, size=args.requests) - 1) % args.users
-        if new_ids:
+        if len(new_ids):
             # Route the fresh users' first requests into this round so
             # the cold-start fallback path is actually exercised.
             users[: len(new_ids)] = new_ids
@@ -650,7 +629,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         "hit_rate": round(frontend.hit_rate, 3),
         "cache_evictions": frontend.cache.evictions,
-        "compactions": frontend.graph.compactions,
     }
     if args.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -675,8 +653,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"total: {total_requests} requests, {report['req_per_sec']:,.0f} req/s, "
         f"hit rate {report['hit_rate']:.3f}, "
-        f"{report['cache_evictions']} evictions, "
-        f"{report['compactions']} compactions"
+        f"{report['cache_evictions']} evictions"
     )
     return 0
 

@@ -13,7 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BipartiteGraph"]
+__all__ = ["BipartiteGraph", "slice_positions"]
+
+
+def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat gather index for variable-length slices ``[s, s+len)``.
+
+    ``concatenate([arange(s, s+l) for s, l in zip(starts, lengths)])``
+    without the python loop; with CSR ``indptr`` rows as ``starts`` it
+    gathers the concatenated adjacency rows of many vertices.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    resets = np.concatenate(([0], ends[:-1]))
+    return (
+        np.arange(total, dtype=np.int64)
+        + np.repeat(np.asarray(starts, dtype=np.int64) - resets, lengths)
+    )
 
 
 @dataclass(frozen=True)

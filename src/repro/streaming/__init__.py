@@ -3,18 +3,16 @@
 Production serving means edges arriving continuously, not a frozen
 graph.  This package layers three pieces over the reproduction:
 
-* :class:`IncrementalBipartiteGraph` — O(delta) edge/vertex appends over
-  an existing :class:`~repro.graph.bipartite.BipartiteGraph` with a
-  dirty-vertex frontier and periodic compaction.
+* :class:`IncrementalBipartiteGraph` — an append log of edges and
+  vertices over a :class:`~repro.graph.bipartite.BipartiteGraph`, folded
+  into one new graph on read, with a dirty-vertex frontier.
 * :class:`StreamingEmbedder` — layer-wise inference with cached per-step
   matrices and a delta-aware :meth:`~StreamingEmbedder.refresh` that
   recomputes only the P-hop out-neighbourhood of the dirty frontier,
   bitwise-identical to a full pass on the mutated graph.
 * :class:`ServingFrontend` — a micro-batched request loop with a bounded
   LRU slate cache (hit/miss/eviction counters and latency histograms in
-  :mod:`repro.obs`), cold-start admission via a fallback recommender,
-  and graceful degradation to full recompute when the dirty frontier
-  grows too large.
+  :mod:`repro.obs`) and cold-start admission via a fallback recommender.
 
 See README "Streaming & serving".
 """

@@ -14,10 +14,9 @@ embedding row yet; those requests are admitted through the ``fallback``
 recommender (the taxonomy recommender in the load bench) instead of
 being dropped, until the next refresh embeds them.
 
-Graceful degradation: when the graph's dirty fraction exceeds
-``refresh_dirty_threshold`` the frontend refreshes before serving, and
-the embedder itself degrades a too-large delta to a full recompute — so
-a flood of updates costs one full pass, never a wrong slate.
+Refresh timing stays with the caller: :meth:`ServingFrontend.refresh`
+brings the embeddings up to date with everything ingested so far and
+drops the slates that may have gone stale.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ class ServingFrontend:
         Bound of the LRU slate cache (0 disables caching).
     microbatch:
         Maximum number of cache-missing requests scored per matmul.
-    refresh_dirty_threshold:
-        When set, :meth:`serve` refreshes first whenever the graph's
-        dirty fraction exceeds this value.
     """
 
     def __init__(
@@ -72,7 +68,6 @@ class ServingFrontend:
         fallback=None,
         cache_size: int = 4096,
         microbatch: int = 256,
-        refresh_dirty_threshold: float | None = None,
     ) -> None:
         if microbatch < 1:
             raise ValueError("microbatch must be >= 1")
@@ -82,7 +77,6 @@ class ServingFrontend:
         self.embedder = embedder
         self.fallback = fallback
         self.microbatch = int(microbatch)
-        self.refresh_dirty_threshold = refresh_dirty_threshold
         self._fixed_candidates = (
             np.asarray(candidate_items, dtype=np.int64)
             if candidate_items is not None
@@ -163,11 +157,6 @@ class ServingFrontend:
             raise ValueError("k must be >= 1")
         if self._z_user is None:
             raise RuntimeError("frontend is cold — call warm() first")
-        if (
-            self.refresh_dirty_threshold is not None
-            and self.graph.dirty_fraction > self.refresh_dirty_threshold
-        ):
-            self.refresh()
         users = np.asarray(users, dtype=np.int64)
         with span("serving.serve", requests=len(users), k=k):
             slates: list[np.ndarray | None] = [None] * len(users)

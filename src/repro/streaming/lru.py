@@ -84,21 +84,6 @@ class LRUCache:
                 counter_add(f"{self.metric_prefix}.evictions", 1)
         self._data[key] = value
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop ``key`` if present; returns whether it existed."""
-        return self._data.pop(key, _MISSING) is not _MISSING
-
-    def invalidate_where(self, predicate) -> int:
-        """Drop every entry where ``predicate(key, value)``; returns count.
-
-        Cost is bounded by ``maxsize`` — the point of a bounded cache is
-        that a full scan stays O(cache), never O(traffic).
-        """
-        stale = [k for k, v in self._data.items() if predicate(k, v)]
-        for key in stale:
-            del self._data[key]
-        return len(stale)
-
     def clear(self) -> None:
         self._data.clear()
 

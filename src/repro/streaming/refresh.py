@@ -27,20 +27,22 @@ The affected set is propagated conservatively: a row is affected at step
 step ``p-1``, or it is adjacent to a vertex of the opposite side that
 was affected at step ``p-1``.  Sampled neighbours are a subset of actual
 neighbours, so this is a superset of the rows whose values can change —
-every untouched row provably reads only unchanged inputs.
+every untouched row provably reads only unchanged inputs.  When a side
+grows, the rows of its old partly full tail chunk count as affected too:
+that chunk gains the new rows, so its matmul changes shape and its old
+rows may change in the low bits.
 
-When the affected fraction exceeds ``degrade_threshold`` the refresh
-gracefully degrades to a full pass (same result, simpler execution).
+There is one execution path.  A plan that covers every chunk (a cold
+start, or a delta that reaches every chunk) is simply a full pass.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph, slice_positions
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
 from repro.parallel import get_pool
@@ -51,25 +53,10 @@ __all__ = ["RefreshStats", "StreamingEmbedder"]
 _SIDES = ("user", "item")
 
 
-def _csr_neighbors(csr, vertices: np.ndarray) -> np.ndarray:
-    """Concatenated CSR adjacency rows for ``vertices`` (vectorised)."""
-    if len(vertices) == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = csr.indptr[vertices]
-    counts = csr.indptr[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return csr.indices[np.repeat(starts, counts) + offsets]
-
-
 @dataclass(frozen=True)
 class RefreshStats:
     """What a :meth:`StreamingEmbedder.refresh` call actually did."""
 
-    mode: str  # "delta" or "full"
-    degraded: bool  # True when a delta request fell back to a full pass
     dirty_users: int
     dirty_items: int
     affected_rows: int  # conservative affected set, summed over steps
@@ -77,6 +64,11 @@ class RefreshStats:
     rows_total: int  # all rows across all steps and both sides
     chunks_recomputed: int
     chunks_total: int
+
+    @property
+    def mode(self) -> str:
+        """``"full"`` when every chunk was recomputed, else ``"delta"``."""
+        return "full" if self.chunks_recomputed == self.chunks_total else "delta"
 
     @property
     def recompute_fraction(self) -> float:
@@ -101,9 +93,6 @@ class StreamingEmbedder:
     batch_size:
         Chunk size of the layer-wise passes; also the refresh
         granularity (whole chunks are recomputed).
-    degrade_threshold:
-        Fall back to a full pass when the chunk-rounded recompute
-        fraction exceeds this value.
     """
 
     def __init__(
@@ -111,22 +100,19 @@ class StreamingEmbedder:
         model,
         sample_seed: int | None = None,
         batch_size: int = 2048,
-        degrade_threshold: float = 0.25,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 < degrade_threshold <= 1.0:
-            raise ValueError("degrade_threshold must be in (0, 1]")
         self.model = model
         if sample_seed is None:
             sample_seed = model.sample_seed
         self.sample_seed = int(sample_seed)
         self.batch_size = int(batch_size)
-        self.degrade_threshold = float(degrade_threshold)
         # Per-step matrices for steps 0..P ({"user": ..., "item": ...});
-        # step 0 aliases the graph's feature matrices (immutable).
+        # step 0 aliases the graph's feature matrices (immutable).  The
+        # cached shape (0, 0) makes the first refresh plan every chunk.
         self._h: list[dict[str, np.ndarray]] | None = None
-        self._shape: tuple[int, int] | None = None
+        self._shape: tuple[int, int] = (0, 0)
         self.last_stats: RefreshStats | None = None
 
     # ------------------------------------------------------------------
@@ -212,116 +198,77 @@ class StreamingEmbedder:
         dirty_items: np.ndarray,
         workers: int | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.model.config
-        nu, ni = graph.num_users, graph.num_items
-        steps = cfg.num_steps
-        rows_total = (nu + ni) * steps
-        chunks_total = self._num_chunks(nu, ni) * steps
-        stats = functools.partial(
-            RefreshStats,
-            dirty_users=len(dirty_users),
-            dirty_items=len(dirty_items),
-            rows_total=rows_total,
-            chunks_total=chunks_total,
-        )
-        if self._h is None:
-            # Cold start: nothing cached, a full pass is the refresh.
-            out = self.full_embed(graph, workers)
-            self.last_stats = stats(
-                mode="full",
-                degraded=False,
-                affected_rows=rows_total,
-                rows_recomputed=rows_total,
-                chunks_recomputed=chunks_total,
-            )
-            return out
-        old_nu, old_ni = self._shape
-        if nu < old_nu or ni < old_ni:
+        bs = self.batch_size
+        steps = self.model.config.num_steps
+        sizes = {"user": graph.num_users, "item": graph.num_items}
+        old = dict(zip(_SIDES, self._shape))
+        if any(sizes[side] < old[side] for side in _SIDES):
             raise ValueError(
                 "streaming graphs only grow: cached shape "
-                f"({old_nu}, {old_ni}) vs graph ({nu}, {ni})"
+                f"{self._shape} vs graph ({sizes['user']}, {sizes['item']})"
             )
-        if len(dirty_users) and (dirty_users[0] < 0 or dirty_users[-1] >= nu):
-            raise ValueError("dirty user id out of range")
-        if len(dirty_items) and (dirty_items[0] < 0 or dirty_items[-1] >= ni):
-            raise ValueError("dirty item id out of range")
+        dirty = {"user": dirty_users, "item": dirty_items}
+        for side in _SIDES:
+            ids = dirty[side]
+            if len(ids) and (ids[0] < 0 or ids[-1] >= sizes[side]):
+                raise ValueError(f"dirty {side} id out of range")
 
         # Conservative affected-set propagation, one mask pair per step.
-        # base = adjacency-dirty ∪ new rows (affects every step >= 1);
-        # aff_p = base ∪ aff_{p-1} ∪ neighbours(aff_{p-1} of other side).
-        base_u = np.zeros(nu, dtype=bool)
-        base_u[dirty_users] = True
-        base_u[old_nu:] = True
-        base_i = np.zeros(ni, dtype=bool)
-        base_i[dirty_items] = True
-        base_i[old_ni:] = True
-        aff_u = np.zeros(nu, dtype=bool)  # step 0: only new feature rows
-        aff_u[old_nu:] = True
-        aff_i = np.zeros(ni, dtype=bool)
-        aff_i[old_ni:] = True
-        per_step: list[dict[str, np.ndarray]] = []
-        for _p in range(1, steps + 1):
-            next_u = base_u | aff_u
-            next_u[_csr_neighbors(graph._item_csr, np.flatnonzero(aff_i))] = True
-            next_i = base_i | aff_i
-            next_i[_csr_neighbors(graph._user_csr, np.flatnonzero(aff_u))] = True
-            per_step.append({"user": next_u, "item": next_i})
-            aff_u, aff_i = next_u, next_i
-
-        # Chunk-round the affected rows and decide delta vs full.
-        bs = self.batch_size
-        affected_rows = 0
-        rows_recomputed = 0
-        chunks_recomputed = 0
+        # base = adjacency-dirty ∪ new rows ∪ the old tail chunk of a
+        # grown side (affects every step >= 1); step 0 holds only the new
+        # feature rows; aff_p = base ∪ aff_{p-1} ∪ neighbours(aff_{p-1}
+        # of the other side).
+        base: dict[str, np.ndarray] = {}
+        aff: dict[str, np.ndarray] = {}
+        for side in _SIDES:
+            n, n_old = sizes[side], old[side]
+            aff[side] = np.zeros(n, dtype=bool)
+            aff[side][n_old:] = True
+            base[side] = aff[side].copy()
+            base[side][dirty[side]] = True
+            if n > n_old:
+                base[side][n_old - n_old % bs :] = True
+        csr = {"user": graph._user_csr, "item": graph._item_csr}
         plan: list[dict[str, np.ndarray]] = []
-        for masks in per_step:
-            chunk_ids: dict[str, np.ndarray] = {}
-            for side in _SIDES:
-                mask = masks[side]
-                affected_rows += int(mask.sum())
-                n = len(mask)
-                ids = np.unique(np.flatnonzero(mask) // bs)
-                chunk_ids[side] = ids
-                chunks_recomputed += len(ids)
-                rows_recomputed += sum(
-                    min((k + 1) * bs, n) - k * bs for k in ids
+        affected_rows = rows_recomputed = 0
+        for _ in range(steps):
+            nxt = {}
+            for side, other in (("user", "item"), ("item", "user")):
+                rows = np.flatnonzero(aff[other])
+                positions = slice_positions(
+                    csr[other].indptr[rows], graph.degrees(other)[rows]
                 )
-            plan.append(chunk_ids)
-        fraction = rows_recomputed / rows_total if rows_total else 0.0
-        if fraction > self.degrade_threshold:
-            counter_add("streaming.degradations", 1)
-            out = self.full_embed(graph, workers)
-            self.last_stats = stats(
-                mode="full",
-                degraded=True,
-                affected_rows=affected_rows,
-                rows_recomputed=rows_total,
-                chunks_recomputed=chunks_total,
-            )
-            return out
+                nxt[side] = base[side] | aff[side]
+                nxt[side][csr[other].indices[positions]] = True
+            aff = nxt
+            chunks = {}
+            for side in _SIDES:
+                ids = np.unique(np.flatnonzero(aff[side]) // bs)
+                chunks[side] = ids
+                affected_rows += int(aff[side].sum())
+                rows_recomputed += int(
+                    (np.minimum(ids * bs + bs, sizes[side]) - ids * bs).sum()
+                )
+            plan.append(chunks)
 
-        # Delta pass: the engine recomputes the planned chunks with the
-        # exact full-pass task shapes and copies every other row.  New
-        # rows (>= old_n) are always planned — they are marked affected
-        # at every step.
+        # The engine recomputes the planned chunks with the exact
+        # full-pass task shapes and copies every other row from cache.
         self._h = self.model._layerwise(
             graph,
-            self.batch_size,
+            bs,
             get_pool(workers),
             self.sample_seed,
             plan=plan,
             cached=self._h,
         )
-        self._shape = (nu, ni)
-        self.last_stats = stats(
-            mode="delta",
-            degraded=False,
+        self._shape = (sizes["user"], sizes["item"])
+        self.last_stats = RefreshStats(
+            dirty_users=len(dirty_users),
+            dirty_items=len(dirty_items),
             affected_rows=affected_rows,
             rows_recomputed=rows_recomputed,
-            chunks_recomputed=chunks_recomputed,
+            rows_total=(sizes["user"] + sizes["item"]) * steps,
+            chunks_recomputed=sum(len(c[side]) for c in plan for side in _SIDES),
+            chunks_total=sum(-(-n // bs) for n in sizes.values()) * steps,
         )
         return self.embeddings
-
-    def _num_chunks(self, nu: int, ni: int) -> int:
-        bs = self.batch_size
-        return (nu + bs - 1) // bs + (ni + bs - 1) // bs

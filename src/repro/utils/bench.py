@@ -480,9 +480,8 @@ def _bench_serving(mode: str, seed: int, repeats: int, workers: int) -> Rows:
 
     # Re-embed a graph mutated by a few edges: in full, and by refresh.
     batch = spec["refresh_batch"]
-    embedder = StreamingEmbedder(module, sample_seed=seed, batch_size=batch,
-                                 degrade_threshold=1.0)
-    inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+    embedder = StreamingEmbedder(module, sample_seed=seed, batch_size=batch)
+    inc = IncrementalBipartiteGraph(graph)
     embedder.full_embed(inc.graph)
     delta, delta_rng = spec["delta_edges"], ensure_rng(seed + 1)
     inc.add_edges(np.column_stack([delta_rng.integers(0, size[0], delta),
@@ -499,7 +498,7 @@ def _bench_serving(mode: str, seed: int, repeats: int, workers: int) -> Rows:
     def refresh_stats(session) -> dict[str, Any]:
         stats = embedder.last_stats
         return {"refresh_mode": stats.mode,
-                "rows_recomputed": int(stats.rows_recomputed),
+                "rows_recomputed": stats.rows_recomputed,
                 "recompute_fraction": round(stats.recompute_fraction, 3)}
 
     identity = {"graph": meta, "delta_edges": delta, "batch": batch}

@@ -17,9 +17,7 @@ def _frontend(**kwargs):
     graph = random_bipartite(60, 40, 240, feature_dim=6, rng=0)
     cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3))
     model = BipartiteGraphSAGE(6, 6, cfg, rng=0)
-    embedder = StreamingEmbedder(
-        model, sample_seed=0, batch_size=16, degrade_threshold=1.0
-    )
+    embedder = StreamingEmbedder(model, sample_seed=0, batch_size=16)
     frontend = ServingFrontend(graph, embedder, **kwargs)
     frontend.warm()
     return frontend
@@ -134,19 +132,12 @@ class TestRefresh:
         assert np.array_equal(after, stable_topk(z_user[0] @ z_item.T, 5))
         assert before.shape == after.shape
 
-    def test_auto_refresh_over_dirty_threshold(self):
-        frontend = _frontend(refresh_dirty_threshold=0.0)
-        frontend.request(0, 5)
-        frontend.ingest(np.array([[1, 1]]))
-        assert frontend.graph.dirty_fraction > 0
-        frontend.request(0, 5)  # serve() refreshes first
-        assert frontend.graph.dirty_fraction == 0.0
-
     def test_no_auto_refresh_without_threshold(self):
+        # Refresh timing stays with the caller: serving never refreshes.
         frontend = _frontend()
         frontend.ingest(np.array([[1, 1]]))
         frontend.request(0, 5)
-        assert frontend.graph.dirty_fraction > 0  # still stale
+        assert list(frontend.graph.dirty_users) == [1]  # still stale
 
 
 class TestColdStart:

@@ -97,21 +97,6 @@ class TestCounters:
 
 
 class TestInvalidation:
-    def test_invalidate_single_key(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
-        assert "a" not in cache
-
-    def test_invalidate_where_predicate(self):
-        cache = LRUCache(8)
-        for key in range(6):
-            cache.put(key, key)
-        dropped = cache.invalidate_where(lambda k, v: v % 2 == 0)
-        assert dropped == 3
-        assert sorted(cache.keys()) == [1, 3, 5]
-
     def test_keys_in_lru_order(self):
         cache = LRUCache(3)
         cache.put("a", 1)

@@ -3,7 +3,7 @@
 The contract: after any edge/vertex delta,
 ``StreamingEmbedder.refresh(mutated)`` produces exactly the floats of
 ``full_embed(mutated)`` on a fresh embedder — at any worker count, for
-any delta size, whether the delta path ran or degradation kicked in.
+any delta size, whether the plan reached a few chunks or all of them.
 The trick is content-addressed sampling (every chunk's neighbour draw is
 seeded by its coordinates, not by stream position) plus whole-chunk
 recomputation (identical task tuples through the same kernel).
@@ -32,7 +32,7 @@ def _world(num_users=200, num_items=150, num_edges=800, seed=0):
 
 def _mutate(graph, delta_edges, seed=1):
     rng = np.random.default_rng(seed)
-    inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+    inc = IncrementalBipartiteGraph(graph)
     edges = np.stack(
         [
             rng.integers(0, graph.num_users, delta_edges),
@@ -54,26 +54,20 @@ class TestBitwiseEquivalence:
     @pytest.mark.parametrize("delta_edges", [1, 5, 50])
     def test_edge_delta_matches_full_embed(self, delta_edges):
         graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         embedder.full_embed(graph)
         inc = _mutate(graph, delta_edges)
         embedder.refresh(inc)
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
     def test_vertex_delta_matches_full_embed(self):
         graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         embedder.full_embed(graph)
         rng = np.random.default_rng(2)
-        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        inc = IncrementalBipartiteGraph(graph)
         users = inc.add_users(3, features=rng.normal(size=(3, 6)))
         items = inc.add_items(2, features=rng.normal(size=(2, 6)))
         inc.add_edges(
@@ -83,19 +77,15 @@ class TestBitwiseEquivalence:
         z_user, z_item = embedder.embeddings
         assert len(z_user) == graph.num_users + 3
         assert len(z_item) == graph.num_items + 2
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
     def test_chained_refreshes_match_full_embed(self):
         graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         embedder.full_embed(graph)
-        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        inc = IncrementalBipartiteGraph(graph)
         rng = np.random.default_rng(3)
         for _ in range(3):
             edges = np.stack(
@@ -107,63 +97,37 @@ class TestBitwiseEquivalence:
             )
             inc.add_edges(edges)
             embedder.refresh(inc)
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
     def test_refresh_after_compaction_matches(self):
         graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         embedder.full_embed(graph)
         inc = _mutate(graph, 4)
-        inc.compact()  # storage layout changes, staleness does not
+        inc.graph  # folding the log changes the graph object, not staleness
+        inc.add_edges(np.array([[0, 0], [7, 9]]))
         embedder.refresh(inc)
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
 
 class TestRefreshStats:
     def test_sparse_delta_takes_the_delta_path(self):
-        # Sparse graph + single-edge delta: the 2-hop affected set stays
-        # well under the degradation threshold.
+        # Sparse graph + single-edge delta: the 2-hop affected set
+        # reaches only some of the chunks.
         graph, model = _world(800, 600, 1600)
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=64, degrade_threshold=0.9
-        )
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=64)
         embedder.full_embed(graph)
         inc = _mutate(graph, 1)
         embedder.refresh(inc)
         stats = embedder.last_stats
         assert stats.mode == "delta"
-        assert not stats.degraded
         assert 0.0 < stats.recompute_fraction < 1.0
         assert stats.chunks_recomputed < stats.chunks_total
         assert stats.rows_recomputed < stats.rows_total
-
-    def test_large_delta_degrades_to_full(self):
-        graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=0.05
-        )
-        embedder.full_embed(graph)
-        inc = _mutate(graph, 40)
-        embedder.refresh(inc)
-        stats = embedder.last_stats
-        assert stats.degraded
-        assert stats.mode == "full"
-        # Degraded output still equals the full re-embed.
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=0.05
-        )
-        reference.full_embed(inc.graph)
-        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
     def test_cold_refresh_runs_full_embed(self):
         graph, model = _world()
@@ -187,9 +151,7 @@ class TestRefreshStats:
 
     def test_incremental_graph_dirty_cleared_on_success(self):
         graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         embedder.full_embed(graph)
         inc = _mutate(graph, 2)
         assert len(inc.dirty_users) > 0
@@ -231,9 +193,9 @@ class TestDuplicateEdges:
         graph = random_bipartite(5000, 3000, 20000, feature_dim=6, rng=0)
         cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3))
         model = BipartiteGraphSAGE(6, 6, cfg, rng=0)
-        embedder = StreamingEmbedder(model, batch_size=64, degrade_threshold=1.0)
+        embedder = StreamingEmbedder(model, batch_size=64)
         embedder.full_embed(graph)
-        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        inc = IncrementalBipartiteGraph(graph)
         fresh = np.array([[0, 2999], [1, 2998]])
         assert not any(graph.has_edge(u, i) for u, i in fresh)
         inc.add_edges(fresh)
@@ -256,9 +218,7 @@ class TestWorkerEquivalence:
         results = []
         for workers in (1, 3):
             graph, model = _world()
-            embedder = StreamingEmbedder(
-                model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-            )
+            embedder = StreamingEmbedder(model, sample_seed=0, batch_size=32)
             embedder.full_embed(graph, workers=workers)
             inc = _mutate(graph, delta_edges)
             embedder.refresh(inc, workers=workers)
@@ -267,14 +227,10 @@ class TestWorkerEquivalence:
 
     def test_refresh_workers_vs_serial_full(self):
         graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         embedder.full_embed(graph)
         inc = _mutate(graph, 3)
         embedder.refresh(inc, workers=3)
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=32)
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)

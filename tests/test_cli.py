@@ -121,11 +121,22 @@ class TestServeCommand:
             assert row["refresh_mode"] in {"delta", "full"}
             assert row["req_per_sec"] > 0
 
+    def test_serve_several_new_users_per_round(self, capsys):
+        import json
+
+        code = main(
+            ["serve", "--users", "60", "--items", "40", "--edges", "240",
+             "--rounds", "2", "--requests", "50", "--batch-size", "16",
+             "--new-users", "3", "--json"]
+        )
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [row["cold_requests"] for row in data["rounds"]] == [3, 3]
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.rounds == 4
         assert args.refresh_every == 1
-        assert args.refresh_threshold is None
 
 
 class TestBenchParser:
